@@ -4,10 +4,18 @@ The pipeline, for a receiver on the H road: condition on the tagged
 transmitter being active, write the SINR success event through the
 fading CCDF, and reduce everything to the Laplace transforms of the two
 roads' interference evaluated (and differentiated) at zeta = beta~ /
-theta_0. Closed forms exist for the line-of-sight roads and for the
-street-canyon (Manhattan-loss) V road; an adaptive-quadrature transform
-covers every remaining configuration and doubles as the oracle the
-closed forms are tested against.
+theta_0. :func:`reception_probability` is the one entry point; it asks
+:func:`road_lt` for each road's transform. Closed forms exist under Aloha
+for Erlang interferers on the receiver's road, for the line-of-sight
+exponential V road at alpha = 2 and for the street-canyon
+(Manhattan-loss) V road; the adaptive-quadrature transform
+:func:`lt_interference_generic` covers every remaining configuration and
+doubles as the oracle the closed forms are tested against.
+
+The transforms need Erlang fading. Log-normal shadowing is replaced by
+its Erlang surrogate (:func:`analytic_view`, fitted once per spread on a
+fixed stream) before evaluation; only the Monte Carlo engine samples the
+log-normal law itself.
 
 Derivative conventions used throughout (S_0 the useful fading, I_R the
 road-R interference, m = i - j):
@@ -17,44 +25,43 @@ road-R interference, m = i - j):
     D(i,j)  = (-1)^m L_V^(m)(zeta) = E[I_V^m exp(-zeta I_V)]
     P       = exp(-zeta N~) sum_i sum_j binom(i,j) zeta^i / i! C(j) D(i,j)
 
-All reception functions return values in [0, 1].
+Reception probabilities lie in [0, 1].
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .mac import (OffRoadPosition, access_probability, aloha_intensity,
-                  csma_intensity)
+import numpy as np
+
+from .mac import access_probability, aloha_intensity, csma_intensity
 from .model import (EUCLIDEAN, MANHATTAN, Aloha, Csma, Erlang, LinkSpec,
-                    NoMac, Position, Scenario)
-from .numerics import (NonConvergence, OrderTooHigh, QuadratureSettings,
-                       derivative_n, gamma_fn, hyp2f1_regularized,
-                       integrate_line, pochhammer)
-from .propagation import UnsupportedDistribution, fading_lt, path_loss
+                    LogNormal, NoMac, Scenario)
+from .numerics import (OrderTooHigh, QuadratureSettings, derivative_n,
+                       gamma_fn, hyp2f1_regularized, integrate_line,
+                       pochhammer)
+from .propagation import erlang_fit, fading_lt, path_loss
 
 
 class WrongScenario(TypeError):
-    """Scenario does not satisfy the preconditions of this closed form."""
+    """Scenario has no interferer model the transform pipeline covers."""
 
 
 @dataclass(frozen=True)
 class EvalContext:
-    """The four recurring scalars of the reception pipeline.
+    """The three recurring scalars of the reception pipeline.
 
     tilde_beta = beta / l(tx, rx) is the threshold renormalized by the
     useful link's path gain; tilde_n = N / P; zeta = tilde_beta / theta_0
-    (defined when the useful fading is Erlang); kappa is the coefficient
-    in L_H(s) = exp(-kappa s^(1/alpha)) (defined for Aloha with Erlang
-    interferer fading on H).
+    (defined when the useful fading is Erlang).
     """
 
     tilde_beta: float
     tilde_n: float
     zeta: Optional[float] = None
-    kappa: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -86,15 +93,6 @@ class InterferenceLT:
         return derivative_n(self.fn, s, n)
 
 
-def _is_exponential(f) -> bool:
-    return isinstance(f, Erlang) and f.k == 1
-
-
-def _require(cond: bool, what: str) -> None:
-    if not cond:
-        raise WrongScenario(what)
-
-
 def _h_coefficient(p: float, lam: float, amplitude: float, alpha: float,
                    k: int, theta: float) -> float:
     """Coefficient K of L_H(s) = exp(-K s^(1/alpha)) for an on-road rx.
@@ -119,13 +117,7 @@ def eval_context(scenario: Scenario, link: LinkSpec) -> EvalContext:
     zeta = None
     if isinstance(scenario.fading_useful, Erlang):
         zeta = tilde_beta / scenario.fading_useful.theta
-    kappa = None
-    if isinstance(scenario.mac, Aloha) and isinstance(scenario.fading_h, Erlang):
-        kappa = _h_coefficient(scenario.mac.p, scenario.roads.lambda_h,
-                               scenario.loss_h.amplitude_a, scenario.loss_h.alpha,
-                               scenario.fading_h.k, scenario.fading_h.theta)
-    return EvalContext(tilde_beta=tilde_beta, tilde_n=tilde_n,
-                       zeta=zeta, kappa=kappa)
+    return EvalContext(tilde_beta=tilde_beta, tilde_n=tilde_n, zeta=zeta)
 
 
 def lt_h_sqrt_derivative(kappa: float, zeta: float, n: int) -> float:
@@ -216,7 +208,7 @@ def _urban_v_parts(p: float, lam: float, amplitude: float, alpha: float,
     return neglog, neglog_prime
 
 
-# --- closed-form Laplace transforms -----------------------------------------
+# --- per-road Laplace transforms --------------------------------------------
 
 def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
                             s: float,
@@ -293,76 +285,18 @@ def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
     return math.exp(-value)
 
 
-def lt_rural_h(scenario: Scenario, link: LinkSpec, s: float) -> float:
-    """Closed-form L_{I_H}(s): Aloha, exponential fading, line of sight."""
-
-    _require(isinstance(scenario.mac, Aloha), "lt_rural_h needs Aloha")
-    _require(_is_exponential(scenario.fading_h),
-             "lt_rural_h needs exponential fading on the H road")
-    _require(scenario.loss_h.norm == EUCLIDEAN,
-             "lt_rural_h needs Euclidean loss on the H road")
-    if s == 0.0:
-        return 1.0
-    p = scenario.mac.p
-    lam = scenario.roads.lambda_h
-    a_amp, alpha = scenario.loss_h.amplitude_a, scenario.loss_h.alpha
-    theta = scenario.fading_h.theta
-    if alpha == 2.0:
-        return math.exp(-p * lam * math.pi * math.sqrt(a_amp * theta * s))
-    kappa = _h_coefficient(p, lam, a_amp, alpha, 1, theta)
-    return math.exp(-kappa * s ** (1.0 / alpha))
-
-
-def lt_rural_v(scenario: Scenario, link: LinkSpec, s: float) -> float:
-    """Closed-form L_{I_V}(s): Aloha, exponential fading, line of sight,
-
-    alpha = 2 (other exponents fall back to quadrature). The road is at
-    planar distance d = |rx.x| from the receiver.
-    """
-
-    _require(isinstance(scenario.mac, Aloha), "lt_rural_v needs Aloha")
-    _require(_is_exponential(scenario.fading_v),
-             "lt_rural_v needs exponential fading on the V road")
-    _require(scenario.loss_v.norm == EUCLIDEAN,
-             "lt_rural_v needs Euclidean loss on the V road")
-    if s == 0.0:
-        return 1.0
-    if scenario.loss_v.alpha != 2.0:
-        return lt_interference_generic("v", scenario, link, s)
-    p = scenario.mac.p
-    lam = scenario.roads.lambda_v
-    b = scenario.loss_v.amplitude_a * scenario.fading_v.theta * s
-    d = abs(link.rx.x)
-    return math.exp(-p * lam * math.pi * b / math.sqrt(b + d * d))
-
-
-def lt_urban_v(scenario: Scenario, link: LinkSpec, s: float) -> float:
-    """Closed-form L_{I_V}(s): Aloha, Erlang fading, street-canyon loss."""
-
-    _require(isinstance(scenario.mac, Aloha), "lt_urban_v needs Aloha")
-    _require(isinstance(scenario.fading_v, Erlang),
-             "lt_urban_v needs Erlang fading on the V road")
-    _require(scenario.loss_v.norm == MANHATTAN,
-             "lt_urban_v needs Manhattan loss on the V road")
-    if s == 0.0:
-        return 1.0
-    neglog, _ = _urban_v_parts(scenario.mac.p, scenario.roads.lambda_v,
-                               scenario.loss_v.amplitude_a,
-                               scenario.loss_v.alpha,
-                               scenario.fading_v.k, scenario.fading_v.theta,
-                               abs(link.rx.x))
-    return math.exp(-neglog(s))
-
-
 def _unit_lt(road: str) -> InterferenceLT:
     return InterferenceLT(fn=lambda s: 1.0, road=road, provenance="closed-form",
                           dn=lambda s, n: 1.0 if n == 0 else 0.0)
 
 
-def _road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
-    """Best available LT for one road: closed form if the scenario admits
+def road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
+    """Best available LT of road ``road``'s interference at ``link.rx``.
 
-    one, quadrature otherwise."""
+    A closed form when the scenario admits one, quadrature otherwise;
+    ``provenance`` on the result says which. The scenario's fading must
+    already be Erlang (see :func:`analytic_view`).
+    """
 
     mac = scenario.mac
     if isinstance(mac, NoMac) or (isinstance(mac, Aloha) and mac.p == 0.0):
@@ -415,6 +349,8 @@ def _road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
             base = p * lam * math.pi
 
             def fn(s: float) -> float:
+                if s == 0.0:
+                    return 1.0  # b / sqrt(b + d^2) is 0/0 at the corner
                 b = scale * s
                 return math.exp(-base * b / math.sqrt(b + d * d))
 
@@ -433,57 +369,76 @@ def _road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
     return InterferenceLT(fn=fn, road=road, provenance="quadrature")
 
 
-# --- reception probability ---------------------------------------------------
+# --- log-normal surrogate ---------------------------------------------------
 
-def reception_rural(scenario: Scenario, link: LinkSpec) -> float:
-    """Aloha + line-of-sight + exponential fading on every link, alpha = 2.
+_FIT_SEED = 0x0E51_1A7E
+_FIT_SAMPLES = 1_000_000
 
-    Three-factor product: noise, H-road interference, V-road
-    interference. Valid for any transmitter position; only the link
-    distance and the receiver's offset from the intersection enter.
+# Erlang surrogates for log-normal shadowing, keyed by sigma_db.  The
+# fit stream is fixed so the analytic engine is deterministic and CSV
+# reruns stay byte-identical.
+_FIT_CACHE: dict[float, Erlang] = {}
+
+
+def _surrogate(fading):
+    if not isinstance(fading, LogNormal):
+        return fading
+    key = float(fading.sigma_db)
+    if key not in _FIT_CACHE:
+        rng = np.random.Generator(np.random.Philox(key=[_FIT_SEED, 0]))
+        _FIT_CACHE[key] = erlang_fit(key, _FIT_SAMPLES, rng)
+    return _FIT_CACHE[key]
+
+
+def analytic_view(scenario: Scenario) -> Scenario:
+    """Scenario with every log-normal fading replaced by its Erlang fit.
+
+    Returns ``scenario`` itself when nothing is log-normal. The Monte
+    Carlo engine always samples the configured distributions; only the
+    transform pipeline needs the surrogate.
     """
 
-    _require(isinstance(scenario.mac, Aloha), "reception_rural needs Aloha")
-    for tag, f in (("useful", scenario.fading_useful),
-                   ("h", scenario.fading_h), ("v", scenario.fading_v)):
-        _require(_is_exponential(f),
-                 f"reception_rural needs exponential fading ({tag} link)")
-    for tag, sp in (("useful", scenario.loss_useful),
-                    ("h", scenario.loss_h), ("v", scenario.loss_v)):
-        _require(sp.norm == EUCLIDEAN and sp.alpha == 2.0,
-                 f"reception_rural needs Euclidean alpha=2 loss ({tag})")
+    if not any(isinstance(f, LogNormal) for f in
+               (scenario.fading_useful, scenario.fading_h, scenario.fading_v)):
+        return scenario
+    return dataclasses.replace(
+        scenario,
+        fading_useful=_surrogate(scenario.fading_useful),
+        fading_h=_surrogate(scenario.fading_h),
+        fading_v=_surrogate(scenario.fading_v),
+    )
+
+
+# --- reception probability ---------------------------------------------------
+
+def reception_probability(scenario: Scenario, link: LinkSpec) -> float:
+    """P(SINR >= beta) for the tagged link, given its transmitter is active.
+
+    Log-normal fading enters through its Erlang surrogate. Each road's
+    transform comes from :func:`road_lt`. An exponential useful link
+    (k0 = 1) gives the product exp(-zeta N~) L_H(zeta) L_V(zeta); an
+    Erlang shape k0 > 1 gives the C/D double sum of the module docstring,
+    using derivatives up to order k0 - 1.
+    """
+
+    scenario = analytic_view(scenario)
+    k0 = scenario.fading_useful.k
+    if k0 - 1 > 4:
+        raise OrderTooHigh(
+            f"Erlang shape k0={k0} needs LT derivatives of order {k0 - 1}; "
+            "orders above 4 are rejected (see numerics.derivative_n)")
+
     ctx = eval_context(scenario, link)
-    s_star = ctx.zeta  # tilde_beta / theta_0
-    return (math.exp(-ctx.tilde_n * s_star)
-            * lt_rural_h(scenario, link, s_star)
-            * lt_rural_v(scenario, link, s_star))
+    zeta, tilde_n = ctx.zeta, ctx.tilde_n
+    lt_h = road_lt("h", scenario, link)
+    lt_v = road_lt("v", scenario, link)
+    if k0 == 1:
+        return math.exp(-tilde_n * zeta) * lt_h(zeta) * lt_v(zeta)
 
-
-def reception_csma(scenario: Scenario, link: LinkSpec) -> float:
-    """CSMA reception probability, conditioned on the tagged tx holding
-
-    the channel: noise factor times the two quadrature LTs under the
-    hard-core-thinned intensity."""
-
-    _require(isinstance(scenario.mac, Csma), "reception_csma needs CSMA")
-    _require(_is_exponential(scenario.fading_useful),
-             "reception_csma needs an exponential useful link; use "
-             "reception_generic for Erlang shapes above 1")
-    ctx = eval_context(scenario, link)
-    s_star = ctx.zeta
-    return (math.exp(-ctx.tilde_n * s_star)
-            * lt_interference_generic("h", scenario, link, s_star)
-            * lt_interference_generic("v", scenario, link, s_star))
-
-
-def _erlang_reception_sum(zeta: float, tilde_n: float, k0: int,
-                          lh_deriv: Callable[[int], float],
-                          lv_deriv: Callable[[int], float]) -> float:
-    # See module docstring for the C(j)/D(i,j) conventions. All terms are
-    # nonnegative (they are expectations of nonnegative quantities), so
-    # the double sum is numerically benign.
-    dh = [lh_deriv(n) for n in range(k0)]
-    dv = [lv_deriv(n) for n in range(k0)]
+    # All terms are nonnegative (they are expectations of nonnegative
+    # quantities), so the double sum is numerically benign.
+    dh = [lt_h.derivative(zeta, n) for n in range(k0)]
+    dv = [lt_v.derivative(zeta, n) for n in range(k0)]
     total = 0.0
     for i in range(k0):
         weight = zeta ** i / math.factorial(i)
@@ -496,126 +451,6 @@ def _erlang_reception_sum(zeta: float, tilde_n: float, k0: int,
             total += math.comb(i, j) * weight * c_j * d_ij
     value = math.exp(-zeta * tilde_n) * total
     return min(1.0, max(0.0, value))
-
-
-def reception_urban(scenario: Scenario, link: LinkSpec) -> float:
-    """Aloha reception with street-canyon propagation on the useful and
-
-    V links (Manhattan loss, Erlang fading) and line-of-sight exponential
-    interference from the receiver's own road.
-
-    The Erlang CCDF turns the success event into derivatives of the two
-    LTs at zeta, giving the C/D double sum. H-road derivatives use the
-    exact square-root chain when alpha_h = 2 and numeric differencing
-    otherwise; V-road first derivatives are analytic, higher ones
-    numeric.
-    """
-
-    _require(isinstance(scenario.mac, Aloha), "reception_urban needs Aloha")
-    _require(isinstance(scenario.fading_useful, Erlang),
-             "reception_urban needs Erlang useful fading (fit LogNormal first)")
-    _require(scenario.loss_useful.norm == MANHATTAN,
-             "reception_urban needs Manhattan loss on the useful link")
-    _require(isinstance(scenario.fading_v, Erlang),
-             "reception_urban needs Erlang fading on the V road")
-    _require(scenario.loss_v.norm == MANHATTAN,
-             "reception_urban needs Manhattan loss on the V road")
-    _require(_is_exponential(scenario.fading_h),
-             "reception_urban needs exponential fading on the H road")
-    _require(scenario.loss_h.norm == EUCLIDEAN,
-             "reception_urban needs Euclidean loss on the H road")
-
-    ctx = eval_context(scenario, link)
-    zeta = ctx.zeta
-    k0 = scenario.fading_useful.k
-    kappa = ctx.kappa
-    alpha_h = scenario.loss_h.alpha
-
-    if alpha_h == 2.0:
-        def lh_deriv(n: int) -> float:
-            return lt_h_sqrt_derivative(kappa, zeta, n)
-    else:
-        inv_alpha = 1.0 / alpha_h
-
-        def lh_fn(s: float) -> float:
-            return math.exp(-kappa * s ** inv_alpha)
-
-        def lh_deriv(n: int) -> float:
-            return lh_fn(zeta) if n == 0 else derivative_n(lh_fn, zeta, n)
-
-    neglog, neglog_prime = _urban_v_parts(
-        scenario.mac.p, scenario.roads.lambda_v, scenario.loss_v.amplitude_a,
-        scenario.loss_v.alpha, scenario.fading_v.k, scenario.fading_v.theta,
-        abs(link.rx.x))
-
-    def lv_fn(s: float) -> float:
-        return math.exp(-neglog(s))
-
-    def lv_deriv(n: int) -> float:
-        if n == 0:
-            return lv_fn(zeta)
-        if n == 1:
-            return -neglog_prime(zeta) * lv_fn(zeta)
-        return derivative_n(lv_fn, zeta, n)
-
-    return _erlang_reception_sum(zeta, ctx.tilde_n, k0, lh_deriv, lv_deriv)
-
-
-def reception_generic(scenario: Scenario, link: LinkSpec) -> float:
-    """Reception probability for any scenario with an Erlang useful link.
-
-    Routes each road to its best LT (closed form where available,
-    quadrature otherwise) and evaluates the same C/D sum as
-    reception_urban, which it must reproduce on street-canyon scenarios.
-    """
-
-    f_u = scenario.fading_useful
-    if not isinstance(f_u, Erlang):
-        raise UnsupportedDistribution(
-            f"reception needs an Erlang useful link, got {f_u!r}; "
-            "approximate with erlang_fit first")
-    k0 = f_u.k
-    if k0 - 1 > 4:
-        raise OrderTooHigh(
-            f"Erlang shape k0={k0} needs LT derivatives of order {k0 - 1}; "
-            "orders above 4 are rejected (see numerics.derivative_n)")
-
-    ctx = eval_context(scenario, link)
-    zeta = ctx.zeta
-    lt_h = _road_lt("h", scenario, link)
-    lt_v = _road_lt("v", scenario, link)
-    if k0 == 1:
-        return (math.exp(-ctx.tilde_n * zeta) * lt_h(zeta) * lt_v(zeta))
-    return _erlang_reception_sum(
-        zeta, ctx.tilde_n, k0,
-        lambda n: lt_h.derivative(zeta, n),
-        lambda n: lt_v.derivative(zeta, n))
-
-
-def reception_probability(scenario: Scenario, link: LinkSpec) -> float:
-    """Dispatch to the most specific evaluation the scenario admits."""
-
-    mac = scenario.mac
-    if isinstance(mac, Csma) and _is_exponential(scenario.fading_useful):
-        return reception_csma(scenario, link)
-    if isinstance(mac, Aloha):
-        rural = (all(_is_exponential(f) for f in
-                     (scenario.fading_useful, scenario.fading_h,
-                      scenario.fading_v))
-                 and all(sp.norm == EUCLIDEAN and sp.alpha == 2.0 for sp in
-                         (scenario.loss_useful, scenario.loss_h,
-                          scenario.loss_v)))
-        if rural:
-            return reception_rural(scenario, link)
-        urban = (isinstance(scenario.fading_useful, Erlang)
-                 and scenario.loss_useful.norm == MANHATTAN
-                 and isinstance(scenario.fading_v, Erlang)
-                 and scenario.loss_v.norm == MANHATTAN
-                 and _is_exponential(scenario.fading_h)
-                 and scenario.loss_h.norm == EUCLIDEAN)
-        if urban:
-            return reception_urban(scenario, link)
-    return reception_generic(scenario, link)
 
 
 def throughput(scenario: Scenario, link: LinkSpec) -> float:

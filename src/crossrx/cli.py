@@ -34,6 +34,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import analytic, mac, model, propagation
+# Re-exported: perfbench warms the surrogate fit cache through it.
+from .analytic import analytic_view  # noqa: F401
 from .montecarlo import SimSettings, simulate_outage_sweep
 from .numerics import (NonConvergence, OrderTooHigh, PoleError,
                        ToleranceNotMet)
@@ -53,39 +55,6 @@ class AxisMismatch(Exception):
 
 class UnknownPreset(Exception):
     pass
-
-
-_FIT_SEED = 0x0E51_1A7E
-_FIT_SAMPLES = 1_000_000
-
-# Erlang surrogates for log-normal shadowing, keyed by sigma_db.  The
-# fit stream is fixed so the analytic engine is deterministic and CSV
-# reruns stay byte-identical.
-_FIT_CACHE: dict[float, model.Erlang] = {}
-
-
-def _surrogate(fading):
-    if not isinstance(fading, model.LogNormal):
-        return fading
-    key = float(fading.sigma_db)
-    if key not in _FIT_CACHE:
-        rng = np.random.Generator(np.random.Philox(key=[_FIT_SEED, 0]))
-        _FIT_CACHE[key] = propagation.erlang_fit(key, _FIT_SAMPLES, rng)
-    return _FIT_CACHE[key]
-
-
-def analytic_view(scenario: model.Scenario) -> model.Scenario:
-    """Scenario with every log-normal fading replaced by its Erlang fit.
-
-    The Monte Carlo engine always samples the configured distributions;
-    only the transform pipeline needs the surrogate.
-    """
-    return dataclasses.replace(
-        scenario,
-        fading_useful=_surrogate(scenario.fading_useful),
-        fading_h=_surrogate(scenario.fading_h),
-        fading_v=_surrogate(scenario.fading_v),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +447,7 @@ def _evaluate_sweep(plan: RunPlan, sweep: SweepSpec):
     reception_a = []
     if want_analytic:
         for _, scenario, link in points:
-            view = analytic_view(scenario)
-            reception_a.append(analytic.reception_probability(view, link))
+            reception_a.append(analytic.reception_probability(scenario, link))
 
     estimates = []
     if want_mc:
@@ -974,7 +942,7 @@ def main(argv=None) -> int:
     p_fit = sub.add_parser("fit-erlang",
                            help="Erlang surrogate for log-normal shadowing")
     p_fit.add_argument("--sigma-db", type=float, required=True)
-    p_fit.add_argument("--samples", type=int, default=_FIT_SAMPLES)
+    p_fit.add_argument("--samples", type=int, default=analytic._FIT_SAMPLES)
     p_fit.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)

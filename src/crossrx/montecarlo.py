@@ -71,29 +71,6 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
         key=[seed & _MASK64, chunk_index]))
 
 
-def sample_road(road: str, lam: float, window: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """One PPP draw along a road: Poisson count, uniform positions on
-
-    [-window, window]. ``road`` is documentation only; both roads sample
-    identically."""
-
-    if lam < 0:
-        raise ValueError(f"intensity must be >= 0, got {lam}")
-    count = int(rng.poisson(2.0 * window * lam))
-    return rng.uniform(-window, window, count)
-
-
-def thin_aloha(points: np.ndarray, p: float,
-               rng: np.random.Generator) -> np.ndarray:
-    """Independent Bernoulli(p) retention."""
-
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    pts = np.asarray(points, dtype=float)
-    return pts[rng.random(pts.size) < p]
-
-
 def thin_csma_matern2(points_h, points_v, tx: Position, delta: float,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Matern type II thinning of both roads, conditioned on tx active.

@@ -83,25 +83,17 @@ def fading_ccdf(f: FadingSpec, s: float) -> float:
         if i > 0:
             term *= u / i
         acc += term
-    return math.exp(-u) * acc
-
-
-def fading_sample(f: FadingSpec, rng: np.random.Generator) -> float:
-    """One fading draw. Erlang is built as a sum of k exponentials."""
-
-    if isinstance(f, Erlang):
-        return float(rng.standard_exponential(f.k).sum() * f.theta)
-    if isinstance(f, LogNormal):
-        return float(math.exp(rng.standard_normal() * f.sigma_db * _DB_TO_LN))
-    raise UnsupportedDistribution(f"cannot sample {f!r}")
+    # exp(-u) * acc can round to just above 1 when u is tiny.
+    return min(1.0, math.exp(-u) * acc)
 
 
 def sample_fading_array(f: FadingSpec, rng: np.random.Generator,
                         shape: tuple[int, ...]) -> np.ndarray:
-    """Vectorized fading draws (same laws as fading_sample).
+    """Fading draws of the given shape.
 
     Erlang uses the gamma sampler directly rather than materializing k
-    exponentials per cell; the law is identical.
+    exponentials per cell; the law is identical. LogNormal draws have
+    unit median.
     """
 
     if isinstance(f, Erlang):

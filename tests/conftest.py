@@ -1,12 +1,20 @@
 import pytest
 
 from crossrx import (Aloha, Exponential, LinkSpec, PathLossSpec, Position,
-                     RoadConfig, Scenario)
+                     RoadConfig, Scenario, road_lt)
 
 NOISE_W = 10 ** (-99 / 10) * 1e-3
 BETA = 10 ** 0.8
 LOS = PathLossSpec(norm="euclidean", amplitude_a=3e-5, alpha=2.0)
 CANYON = PathLossSpec(norm="manhattan", amplitude_a=3e-5, alpha=2.0)
+
+
+def closed_form(road, scen, link):
+    """road_lt for ``road``, asserting it took a closed form, so that a
+    comparison against the quadrature cannot be trivially equal."""
+    lt = road_lt(road, scen, link)
+    assert lt.provenance == "closed-form", (road, scen)
+    return lt
 
 
 @pytest.fixture

@@ -14,14 +14,12 @@ from scipy.optimize import brentq
 
 from crossrx import (Aloha, Csma, Erlang, LogNormal, Position, SimSettings,
                      access_probability, derivative_n, erlang_fit, gamma_fn,
-                     hyp2f1_regularized, lt_interference_generic, lt_rural_h,
-                     lt_rural_v, lt_urban_v, reception_csma,
-                     reception_probability, reception_rural, reception_urban,
-                     simulate_outage_sweep, throughput)
+                     hyp2f1_regularized, lt_interference_generic,
+                     reception_probability, simulate_outage_sweep, throughput)
 from crossrx.analytic import lt_h_sqrt_derivative
 from crossrx.cli import preset_config, run_config_text
 
-from conftest import BETA, CANYON, NOISE_W
+from conftest import BETA, CANYON, NOISE_W, closed_form
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:expected interference truncated")
@@ -49,7 +47,8 @@ def test_criterion_01_rural_grid_tracks_simulation(make_scenario, make_link):
         for link, est in zip(links,
                              simulate_outage_sweep(scen, links, settings)):
             points += 1
-            delta = abs((1.0 - reception_rural(scen, link)) - est.p_out)
+            delta = abs((1.0 - reception_probability(scen, link))
+                        - est.p_out)
             z = 0.0 if delta == 0.0 else (delta / est.std_err
                                           if est.std_err > 0 else math.inf)
             worst_z = max(worst_z, z)
@@ -79,7 +78,7 @@ def test_criterion_03_interference_limited_range(make_scenario, make_link):
     scen = make_scenario(Aloha(0.005))
 
     def outage(u):
-        return 1.0 - reception_rural(scen, make_link((u, 0), (0, 0)))
+        return 1.0 - reception_probability(scen, make_link((u, 0), (0, 0)))
 
     root = brentq(lambda u: outage(u) - 0.1, 50.0, 400.0, xtol=1e-6)
     _report(3, 120.0 <= root <= 145.0,
@@ -96,10 +95,9 @@ def test_criterion_04_closed_forms_match_quadrature(make_scenario, make_link):
         for s in (1e8, 1e9, 1e10):
             for d in (10.0, 100.0, 500.0):
                 link = make_link((d + 100.0, 0.0), (d, 0.0))
-                for fn, road, scen in ((lt_rural_h, "h", rural),
-                                       (lt_rural_v, "v", rural),
-                                       (lt_urban_v, "v", urban)):
-                    closed = fn(scen, link, s)
+                for road, scen in (("h", rural), ("v", rural),
+                                   ("v", urban)):
+                    closed = closed_form(road, scen, link)(s)
                     quad = lt_interference_generic(road, scen, link, s)
                     worst = max(worst, abs(closed - quad) / abs(quad))
     elapsed = time.perf_counter() - start
@@ -124,7 +122,7 @@ def test_criterion_05_shadowing_surrogate(make_scenario, make_link):
                                  fading_useful=fit, fading_v=fit)
         for link, est in zip(links,
                              simulate_outage_sweep(mc_scen, links, settings)):
-            ana = 1.0 - reception_urban(ana_scen, link)
+            ana = 1.0 - reception_probability(ana_scen, link)
             worst = max(worst, abs(ana - est.p_out))
     _report(5, fit.k == 2 and 0.60 <= fit.theta <= 0.72 and worst <= 0.015,
             f"fit k={fit.k}, theta={fit.theta:.3f} (band [0.60, 0.72]); "
@@ -142,12 +140,14 @@ def test_criterion_06_hard_core_approximation(make_scenario, make_link):
         scen = make_scenario(Csma(delta))
         for link, est in zip(links,
                              simulate_outage_sweep(scen, links, settings)):
-            ana = 1.0 - reception_csma(scen, link)
+            ana = 1.0 - reception_probability(scen, link)
             worst = max(worst, abs(ana - est.p_out))
 
     spot_link = make_link((0.0, 0.0), (100.0, 0.0))
-    spot_csma = 1.0 - reception_csma(make_scenario(Csma(10_000.0)), spot_link)
-    spot_aloha = 1.0 - reception_rural(make_scenario(Aloha(0.005)), spot_link)
+    spot_csma = 1.0 - reception_probability(make_scenario(Csma(10_000.0)),
+                                            spot_link)
+    spot_aloha = 1.0 - reception_probability(make_scenario(Aloha(0.005)),
+                                             spot_link)
     _report(6, (worst <= 0.02 and 0.002 <= spot_csma <= 0.005
                 and 0.07 <= spot_aloha <= 0.09),
             f"52 points, worst |analytic-mc| = {worst:.4f} (limit 0.02); "
@@ -162,7 +162,7 @@ def test_criterion_07_constrained_throughput(make_scenario, make_link, roads):
     link_c = make_link((0.0, 0.0), (-100.0, 0.0))
 
     def csma_outage(delta):
-        return 1.0 - reception_csma(make_scenario(Csma(delta)), link_c)
+        return 1.0 - reception_probability(make_scenario(Csma(delta)), link_c)
 
     def csma_tput(delta):
         return throughput(make_scenario(Csma(delta)), link_c)
@@ -176,11 +176,11 @@ def test_criterion_07_constrained_throughput(make_scenario, make_link, roads):
     link_a = make_link((100.0, 0.0), (0.0, 0.0))
 
     def aloha_outage(p):
-        return 1.0 - reception_rural(make_scenario(Aloha(p)), link_a)
+        return 1.0 - reception_probability(make_scenario(Aloha(p)), link_a)
 
     p0 = brentq(lambda p: aloha_outage(p) - 0.1, 1e-4, 0.05, xtol=1e-12)
     t_aloha = throughput(make_scenario(Aloha(p0)), link_a)
-    reception = reception_rural(make_scenario(Aloha(p0)), link_a)
+    reception = reception_probability(make_scenario(Aloha(p0)), link_a)
     consistent = abs(t_aloha - p0 * reception * RATE) <= 1e-12 * t_aloha
     rising = csma_tput(delta0) > 0 and aloha_outage(p0 * 0.9) < 0.1
 
@@ -221,14 +221,15 @@ def test_criterion_09_degenerate_limits(make_scenario, make_link):
     urban_unit = make_scenario(Aloha(0.01), loss_v=CANYON,
                                fading_v=Erlang(1, 1.0))
     for s in (1e7, 1e9, 1e11):
-        ref = lt_rural_h(rural, corner, s)
-        worst = max(worst, abs(lt_rural_v(rural, corner, s) - ref) / ref)
+        ref = closed_form("h", rural, corner)(s)
         worst = max(worst,
-                    abs(lt_urban_v(urban_unit, corner, s) - ref) / ref)
+                    abs(closed_form("v", rural, corner)(s) - ref) / ref)
+        worst = max(worst,
+                    abs(closed_form("v", urban_unit, corner)(s) - ref) / ref)
 
     link = make_link((0.0, 0.0), (100.0, 0.0))
-    tiny = reception_csma(make_scenario(Csma(1e-9)), link)
-    full = reception_rural(make_scenario(Aloha(1.0)), link)
+    tiny = reception_probability(make_scenario(Csma(1e-9)), link)
+    full = reception_probability(make_scenario(Aloha(1.0)), link)
     worst = max(worst, abs(tiny - full) / full)
     _report(9, worst <= 1e-9,
             f"worst rel diff {worst:.2e} across the three limits "

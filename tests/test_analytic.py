@@ -5,15 +5,12 @@ import pytest
 
 import crossrx
 from crossrx import (Aloha, Csma, Erlang, LogNormal, NoMac, OrderTooHigh,
-                     PathLossSpec, Position, UnsupportedDistribution,
-                     WrongScenario, derivative_n, eval_context,
-                     lt_interference_generic, lt_rural_h, lt_rural_v,
-                     lt_urban_v, reception_csma, reception_generic,
-                     reception_probability, reception_rural, reception_urban,
-                     throughput)
+                     PathLossSpec, Position, analytic_view, derivative_n,
+                     eval_context, lt_interference_generic,
+                     reception_probability, road_lt, throughput)
 from crossrx.analytic import lt_h_sqrt_derivative
 
-from conftest import BETA, CANYON, LOS, NOISE_W
+from conftest import BETA, CANYON, NOISE_W, closed_form
 
 # Hand-computable reference: tx at the intersection, rx 100 m out,
 # p = 0.005. zeta = beta * u^2 / A = 2.1032e9, b = A * zeta = 6.3096e4:
@@ -35,7 +32,7 @@ def test_eval_context_reference(make_scenario, make_link):
 def test_lt_rural_h_hand_value(make_scenario, make_link):
     scen = make_scenario(Aloha(0.005))
     link = make_link((0, 0), (100, 0))
-    got = lt_rural_h(scen, link, 1e9)
+    got = closed_form("h", scen, link)(1e9)
     expected = math.exp(-0.005 * 0.01 * math.pi * math.sqrt(3e-5 * 1e9))
     assert np.isclose(got, expected, rtol=1e-12)
 
@@ -43,11 +40,12 @@ def test_lt_rural_h_hand_value(make_scenario, make_link):
 def test_lt_rural_v_shrinks_with_offset(make_scenario, make_link):
     scen = make_scenario(Aloha(0.005))
     s = 1e9
-    vals = [lt_rural_v(scen, make_link((d + 100, 0), (d, 0)), s)
+    vals = [closed_form("v", scen, make_link((d + 100, 0), (d, 0)))(s)
             for d in (0.0, 50.0, 500.0)]
     # interference weakens as the receiver moves away from the corner
     assert vals == sorted(vals)
-    assert np.isclose(vals[0], lt_rural_h(scen, make_link((100, 0), (0, 0)), s),
+    assert np.isclose(vals[0],
+                      closed_form("h", scen, make_link((100, 0), (0, 0)))(s),
                       rtol=1e-12)
 
 
@@ -56,7 +54,7 @@ def test_lt_rural_v_shrinks_with_offset(make_scenario, make_link):
 def test_lt_rural_v_matches_quadrature(make_scenario, make_link, s, d):
     scen = make_scenario(Aloha(0.01))
     link = make_link((d + 100, 0), (d, 0))
-    assert np.isclose(lt_rural_v(scen, link, s),
+    assert np.isclose(closed_form("v", scen, link)(s),
                       lt_interference_generic("v", scen, link, s), rtol=1e-9)
 
 
@@ -65,15 +63,15 @@ def test_lt_urban_v_matches_quadrature(make_scenario, make_link, s):
     scen = make_scenario(Aloha(0.01), loss_useful=CANYON, loss_v=CANYON,
                          fading_useful=Erlang(2, 0.66), fading_v=Erlang(2, 0.66))
     link = make_link((0, 50), (80, 0))
-    assert np.isclose(lt_urban_v(scen, link, s),
+    assert np.isclose(closed_form("v", scen, link)(s),
                       lt_interference_generic("v", scen, link, s), rtol=1e-9)
 
 
 def test_lt_at_zero_is_one(make_scenario, make_link):
     scen = make_scenario(Aloha(0.01))
     link = make_link((100, 0), (0, 0))
-    assert lt_rural_h(scen, link, 0.0) == 1.0
-    assert lt_rural_v(scen, link, 0.0) == 1.0
+    assert closed_form("h", scen, link)(0.0) == 1.0
+    assert closed_form("v", scen, link)(0.0) == 1.0
     assert lt_interference_generic("h", scen, link, 0.0) == 1.0
 
 
@@ -109,33 +107,47 @@ def test_lt_h_sqrt_derivative_vs_differencing(kappa, zeta, n):
 def test_reception_rural_reference_point(make_scenario, make_link):
     scen = make_scenario(Aloha(0.005))
     link = make_link((0, 0), (100, 0))
-    assert np.isclose(1.0 - reception_rural(scen, link), RURAL_OUTAGE_100M,
-                      rtol=1e-10)
-    assert reception_probability(scen, link) == reception_rural(scen, link)
+    assert np.isclose(1.0 - reception_probability(scen, link),
+                      RURAL_OUTAGE_100M, rtol=1e-10)
 
 
 def test_reception_rural_monotone(make_scenario, make_link):
     outage = []
     for p in (0.0, 0.002, 0.02, 0.2):
         scen = make_scenario(Aloha(p))
-        outage.append(1.0 - reception_rural(scen, make_link((0, 0), (100, 0))))
+        outage.append(1.0 - reception_probability(
+            scen, make_link((0, 0), (100, 0))))
     assert outage == sorted(outage)
-    by_distance = [1.0 - reception_rural(make_scenario(Aloha(0.01)),
-                                         make_link((u, 0), (0, 0)))
+    by_distance = [1.0 - reception_probability(make_scenario(Aloha(0.01)),
+                                               make_link((u, 0), (0, 0)))
                    for u in (50, 150, 450)]
     assert by_distance == sorted(by_distance)
 
 
+def assert_routes(scen, link, route_h, route_v):
+    """Each road takes the expected route, and its value at zeta agrees
+    with the quadrature."""
+    zeta = eval_context(scen, link).zeta
+    for road, route in (("h", route_h), ("v", route_v)):
+        lt = road_lt(road, scen, link)
+        assert lt.provenance == route
+        assert np.isclose(lt(zeta),
+                          lt_interference_generic(road, scen, link, zeta),
+                          rtol=1e-9)
+
+
 def test_reception_rural_requires_matching_scenario(make_scenario, make_link):
+    # The exponential line-of-sight V closed form applies only under
+    # Aloha, exponential fading and alpha = 2; elsewhere the road falls
+    # back to quadrature or to a closed form that still matches it.
     link = make_link((100, 0), (0, 0))
-    with pytest.raises(WrongScenario):
-        reception_rural(make_scenario(Csma(500.0)), link)
-    with pytest.raises(WrongScenario):
-        reception_rural(make_scenario(Aloha(0.01), fading_h=Erlang(2, 0.66)),
-                        link)
-    with pytest.raises(WrongScenario):
-        reception_rural(make_scenario(
-            Aloha(0.01), loss_v=PathLossSpec("euclidean", 3e-5, 4.0)), link)
+    assert_routes(make_scenario(Csma(500.0)), link,
+                  "quadrature", "quadrature")
+    assert_routes(make_scenario(Aloha(0.01), fading_h=Erlang(2, 0.66)), link,
+                  "closed-form", "closed-form")
+    assert_routes(make_scenario(
+        Aloha(0.01), loss_v=PathLossSpec("euclidean", 3e-5, 4.0)), link,
+        "closed-form", "quadrature")
 
 
 def urban_scenario(make_scenario, p=0.005, fit=Erlang(2, 0.656)):
@@ -143,48 +155,70 @@ def urban_scenario(make_scenario, p=0.005, fit=Erlang(2, 0.656)):
                          fading_useful=fit, fading_v=fit)
 
 
+# Street-canyon reception, k0 = 2, frozen from the dedicated street-canyon
+# evaluator, which the generic C/D sum reproduced exactly.
+URBAN_RECEPTION = {(50, 60): 0.9461721600548294,
+                   (150, 10): 0.914195702943462,
+                   (50, 300): 0.8323071208005597}
+
+
 def test_reception_urban_matches_generic(make_scenario, make_link):
     scen = urban_scenario(make_scenario)
-    for tx_y, d in ((50, 60), (150, 10), (50, 300)):
+    for (tx_y, d), expected in URBAN_RECEPTION.items():
         link = make_link((0, tx_y), (d, 0))
-        assert np.isclose(reception_urban(scen, link),
-                          reception_generic(scen, link), rtol=1e-9)
+        assert np.isclose(reception_probability(scen, link), expected,
+                          rtol=1e-9)
 
 
 def test_reception_urban_dispatch(make_scenario, make_link):
     scen = urban_scenario(make_scenario)
-    link = make_link((0, 50), (60, 0))
-    assert reception_probability(scen, link) == reception_urban(scen, link)
+    assert_routes(scen, make_link((0, 50), (60, 0)),
+                  "closed-form", "closed-form")
 
 
 def test_reception_urban_in_unit_interval(make_scenario, make_link):
     scen = urban_scenario(make_scenario, p=0.05, fit=Erlang(3, 0.5))
     for d in (10, 100, 1000):
-        value = reception_urban(scen, make_link((0, 50), (d, 0)))
+        value = reception_probability(scen, make_link((0, 50), (d, 0)))
         assert 0.0 <= value <= 1.0
 
 
 def test_reception_urban_requires_street_canyon(make_scenario, make_link):
+    # Fully line of sight, and street canyon with Erlang(2) interferers on
+    # the receiver's road: both take closed forms that match quadrature.
     link = make_link((0, 50), (60, 0))
-    with pytest.raises(WrongScenario):
-        reception_urban(make_scenario(Aloha(0.01)), link)  # fully LOS
-    with pytest.raises(WrongScenario):
-        # canyon everywhere but the H road carries Erlang(2) fading
-        reception_urban(make_scenario(Aloha(0.01), loss_useful=CANYON,
-                                      loss_v=CANYON,
-                                      fading_useful=Erlang(2, 0.66),
-                                      fading_v=Erlang(2, 0.66),
-                                      fading_h=Erlang(2, 0.66)), link)
+    assert_routes(make_scenario(Aloha(0.01)), link,
+                  "closed-form", "closed-form")
+    assert_routes(make_scenario(Aloha(0.01), loss_useful=CANYON,
+                                loss_v=CANYON,
+                                fading_useful=Erlang(2, 0.66),
+                                fading_v=Erlang(2, 0.66),
+                                fading_h=Erlang(2, 0.66)), link,
+                  "closed-form", "closed-form")
 
 
 def test_reception_generic_rejects_unsupported(make_scenario, make_link):
     link = make_link((100, 0), (0, 0))
-    with pytest.raises(UnsupportedDistribution):
-        reception_generic(make_scenario(Aloha(0.01),
-                                        fading_useful=LogNormal(3.2)), link)
     with pytest.raises(OrderTooHigh):
-        reception_generic(make_scenario(Aloha(0.01),
-                                        fading_useful=Erlang(7, 0.2)), link)
+        reception_probability(make_scenario(Aloha(0.01),
+                                            fading_useful=Erlang(7, 0.2)),
+                              link)
+
+
+def test_reception_lognormal_equals_its_analytic_view(make_scenario,
+                                                      make_link):
+    scen = make_scenario(Aloha(0.01), loss_useful=CANYON, loss_v=CANYON,
+                         fading_useful=LogNormal(3.2),
+                         fading_v=LogNormal(3.2))
+    link = make_link((0, 50), (60, 0))
+    view = analytic_view(scen)
+    assert isinstance(view.fading_useful, Erlang)
+    assert view.fading_v == view.fading_useful
+    assert view.fading_h == scen.fading_h
+    assert analytic_view(view) is view
+    assert reception_probability(scen, link) == reception_probability(view,
+                                                                      link)
+    assert throughput(scen, link) == throughput(view, link)
 
 
 def test_reception_generic_erlang_h_road(make_scenario, make_link):
@@ -192,7 +226,7 @@ def test_reception_generic_erlang_h_road(make_scenario, make_link):
     # quadrature fallback, both driven through the same public entry
     scen = make_scenario(Aloha(0.01), fading_h=Erlang(2, 0.66))
     link = make_link((100, 0), (0, 0))
-    value = reception_generic(scen, link)
+    value = reception_probability(scen, link)
     assert 0.0 < value < 1.0
     ctx = eval_context(scen, link)
     lh = lt_interference_generic("h", scen, link, ctx.zeta)
@@ -203,14 +237,14 @@ def test_reception_generic_erlang_h_road(make_scenario, make_link):
 
 def test_reception_csma_degenerate_radius(make_scenario, make_link):
     link = make_link((0, 0), (100, 0))
-    tiny = reception_csma(make_scenario(Csma(1e-9)), link)
-    full = reception_rural(make_scenario(Aloha(1.0)), link)
+    tiny = reception_probability(make_scenario(Csma(1e-9)), link)
+    full = reception_probability(make_scenario(Aloha(1.0)), link)
     assert np.isclose(tiny, full, rtol=1e-9)
 
 
 def test_reception_csma_improves_with_radius(make_scenario, make_link):
     link = make_link((0, 0), (100, 0))
-    values = [reception_csma(make_scenario(Csma(delta)), link)
+    values = [reception_probability(make_scenario(Csma(delta)), link)
               for delta in (100.0, 500.0, 2000.0, 10000.0)]
     assert values == sorted(values)
 
@@ -234,5 +268,5 @@ def test_throughput_csma_uses_tx_access(make_scenario, make_link):
     scen = make_scenario(Csma(500.0))
     link = make_link((0, 0), (100, 0))
     p_a = crossrx.access_probability(Position(0, 0), 500.0, scen.roads)
-    expected = p_a * reception_csma(scen, link) * math.log2(1 + BETA)
+    expected = p_a * reception_probability(scen, link) * math.log2(1 + BETA)
     assert np.isclose(throughput(scen, link), expected, rtol=1e-15)

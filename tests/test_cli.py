@@ -1,6 +1,8 @@
 import configparser
 import csv
+import importlib.util
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from crossrx import (Position, RoadConfig, access_probability,
                      reception_probability)
+from crossrx import cli
 from crossrx.cli import (AxisMismatch, SchemaError, UnknownPreset,
                          _delta_for_access, _parse_config, compare_files,
                          main, preset_config, run_config_text)
@@ -271,3 +274,23 @@ def test_preset_emit_config(capsys):
     text = capsys.readouterr().out
     plan = parse(text)
     assert len(plan.sweeps) == 9
+
+
+def test_perfbench_tracer_installs_and_uninstalls(tmp_path):
+    # perfbench's traced run wraps names in cli, analytic and montecarlo
+    # by attribute; renaming or unbinding one of them must fail here.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        cli.analytic_view(parse(BASE_CONFIG).scenario)
+        cli.run_config_text(BASE_CONFIG, out_dir=str(tmp_path))
+        calls = tracer.merged().calls
+    finally:
+        tracer.uninstall()
+    assert calls["cli.run_config_text"] == 1
+    assert calls["analytic.reception_probability"] == 3
+    assert calls["montecarlo.simulate_outage_sweep"] == 1

@@ -5,8 +5,8 @@ import pytest
 
 from crossrx import (Aloha, Csma, NoMac, OutageEstimate, Position,
                      SimSettings, access_probability, csma_intensity,
-                     reception_probability, sample_road, simulate_outage,
-                     simulate_outage_sweep, simulate_throughput, thin_aloha,
+                     reception_probability, simulate_outage,
+                     simulate_outage_sweep, simulate_throughput,
                      thin_csma_matern2)
 
 
@@ -20,6 +20,12 @@ def philox(seed, counter):
     return np.random.Generator(np.random.Philox(key=[seed, counter]))
 
 
+def road_points(lam, window, rng):
+    """One Poisson draw along a road: count, then uniform positions."""
+    count = int(rng.poisson(2.0 * window * lam))
+    return rng.uniform(-window, window, count)
+
+
 def test_sim_settings_validation():
     with pytest.raises(ValueError):
         SimSettings(realizations=0)
@@ -27,36 +33,6 @@ def test_sim_settings_validation():
         SimSettings(realizations=10, window_half_length=0.0)
     with pytest.raises(ValueError):
         SimSettings(realizations=10, workers=0)
-
-
-def test_sample_road_window_and_rate():
-    total = 0
-    for t in range(200):
-        pts = sample_road("h", 0.05, 1000.0, philox(3, t))
-        assert pts.size == 0 or (np.abs(pts) <= 1000.0).all()
-        total += pts.size
-    # mean count 100 per draw; 4 sigma around 20000
-    assert abs(total - 20000) < 4 * math.sqrt(20000)
-
-
-def test_sample_road_deterministic_and_degenerate():
-    a = sample_road("h", 0.02, 500.0, philox(11, 0))
-    b = sample_road("h", 0.02, 500.0, philox(11, 0))
-    np.testing.assert_array_equal(a, b)
-    assert sample_road("v", 0.0, 500.0, philox(11, 0)).size == 0
-    with pytest.raises(ValueError):
-        sample_road("h", -0.01, 500.0, philox(11, 0))
-
-
-def test_thin_aloha_limits_and_fraction():
-    pts = philox(5, 0).uniform(-1000, 1000, 100000)
-    assert thin_aloha(pts, 0.0, philox(5, 1)).size == 0
-    np.testing.assert_array_equal(thin_aloha(pts, 1.0, philox(5, 1)), pts)
-    kept = thin_aloha(pts, 0.3, philox(5, 2))
-    assert abs(kept.size / pts.size - 0.3) < 4 * math.sqrt(0.3 * 0.7 / pts.size)
-    assert np.isin(kept[:50], pts).all()
-    with pytest.raises(ValueError):
-        thin_aloha(pts, 1.5, philox(5, 3))
 
 
 def brute_matern(ph, pv, marks_h, marks_v, tx, delta):
@@ -90,8 +66,8 @@ def test_thin_csma_matches_brute_force(tx):
     delta, lam, window = 30.0, 0.05, 300.0
     for t in range(200):
         rng_pts = philox(7, t)
-        ph = sample_road("h", lam, window, rng_pts)
-        pv = sample_road("v", lam, window, rng_pts)
+        ph = road_points(lam, window, rng_pts)
+        pv = road_points(lam, window, rng_pts)
         got_h, got_v = thin_csma_matern2(ph, pv, tx, delta, philox(99, t))
         # identical stream, identical draw order: marks H first, then V
         rng_ref = philox(99, t)
@@ -121,8 +97,8 @@ def test_thin_csma_retained_density(make_scenario):
     count = 0
     for t in range(300):
         rng = philox(13, t)
-        ph = sample_road("h", lam, window, rng)
-        pv = sample_road("v", lam, window, rng)
+        ph = road_points(lam, window, rng)
+        pv = road_points(lam, window, rng)
         kept_h, _ = thin_csma_matern2(ph, pv, tx, delta, philox(17, t))
         assert (kept_h ** 2 > delta ** 2).all()  # tx clears its disc
         band = (np.abs(kept_h) >= 2000.0) & (np.abs(kept_h) <= 9000.0)
