@@ -5,27 +5,37 @@ transmitter being active, write the SINR success event through the
 fading CCDF, and reduce everything to the Laplace transforms of the two
 roads' interference evaluated (and differentiated) at zeta = beta~ /
 theta_0. :func:`reception_probability` is the one entry point; it asks
-:func:`road_lt` for each road's transform. Closed forms exist under Aloha
-for Erlang interferers on the receiver's road, for the line-of-sight
-exponential V road at alpha = 2 and for the street-canyon
-(Manhattan-loss) V road; the adaptive-quadrature transform
-:func:`lt_interference_generic` covers every remaining configuration and
-doubles as the oracle the closed forms are tested against.
+:func:`road_lt` for each road's transform.
+
+Each transform is carried by its exponent G(s) = -ln L(s) and the exact
+derivatives s^m G^(m)(s); s^n L^(n) follows from the recursion for exp(-G) (see
+:meth:`InterferenceLT.derivatives`), so any derivative order is exact
+and nothing is differenced. Under Aloha, closed forms cover Erlang
+interferers on the receiver's road and on the street-canyon
+(Manhattan-loss) V road, both through the incomplete beta function, and
+the line-of-sight exponential V road at alpha = 2. Every remaining
+configuration takes one adaptive quadrature per order; the m = 0
+quadrature, :func:`lt_interference_generic`, doubles as the oracle the
+closed forms are tested against.
 
 The transforms need Erlang fading. Log-normal shadowing is replaced by
 its Erlang surrogate (:func:`analytic_view`, fitted once per spread on a
 fixed stream) before evaluation; only the Monte Carlo engine samples the
 log-normal law itself.
 
-Derivative conventions used throughout (S_0 the useful fading, I_R the
-road-R interference, m = i - j):
+With Erlang(k0, theta_0) useful fading S_0, success S_0 >= beta~ (N~ +
+I_H + I_V) (I_R the road-R interference) is the event that a Poisson
+count of mean zeta (N~ + I_H + I_V) stays below k0. Given the
+interference that count splits into independent parts N_0 + N_H + N_V,
 
-    C(j)    = sum_n binom(j,n) N~^(j-n) (-1)^n L_H^(n)(zeta)
-            = E[(N~ + I_H)^j exp(-zeta I_H)]
-    D(i,j)  = (-1)^m L_V^(m)(zeta) = E[I_V^m exp(-zeta I_V)]
-    P       = exp(-zeta N~) sum_i sum_j binom(i,j) zeta^i / i! C(j) D(i,j)
+    P(N_0 = a) = exp(-zeta N~) (zeta N~)^a / a!
+    P(N_R = n) = E[(zeta I_R)^n exp(-zeta I_R)] / n!
+               = (-zeta)^n L_R^(n)(zeta) / n!,
 
-Reception probabilities lie in [0, 1].
+and P = P(N_0 + N_H + N_V <= k0 - 1) sums the first k0 terms of the
+convolution of the three laws. Every term lies in [0, 1], so the sum
+neither cancels nor overflows, and reception probabilities lie in
+[0, 1].
 """
 
 from __future__ import annotations
@@ -36,13 +46,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import betainc
 
 from .mac import access_probability, aloha_intensity, csma_intensity
 from .model import (EUCLIDEAN, MANHATTAN, Aloha, Csma, Erlang, LinkSpec,
                     LogNormal, NoMac, Scenario)
-from .numerics import (OrderTooHigh, QuadratureSettings, derivative_n,
-                       gamma_fn, hyp2f1_regularized, integrate_line,
-                       pochhammer)
+# Test oracles only; perfbench's tracer patches them by name here.
+from .numerics import derivative_n, hyp2f1_regularized  # noqa: F401
+from .numerics import QuadratureSettings, integrate_line, pochhammer
 from .propagation import erlang_fit, fading_lt, path_loss
 
 
@@ -66,48 +77,36 @@ class EvalContext:
 
 @dataclass(frozen=True)
 class InterferenceLT:
-    """Laplace transform of one road's interference at the receiver.
+    """Laplace transform L(s) = exp(-G(s)) of one road's interference.
 
-    ``provenance`` records whether values come from a closed form or from
-    quadrature; ``derivative`` routes to the best available evaluation:
-    an exact formula when one is attached, Richardson differencing
-    otherwise.
+    ``exponent(s, n)`` returns the exact [G(s), s G'(s), ...,
+    s^n G^(n)(s)]; ``provenance`` records whether they come from a closed
+    form or from quadrature. Unscaled derivatives would leave the double
+    range at high orders (zeta^38 overflows at zeta ~ 1e11).
     """
 
-    fn: Callable[[float], float]
+    exponent: Callable[[float, int], list[float]]
     road: str
     provenance: str  # "closed-form" | "quadrature"
-    d1: Optional[Callable[[float], float]] = None
-    dn: Optional[Callable[[float, int], float]] = None
 
     def __call__(self, s: float) -> float:
-        return self.fn(s)
+        return math.exp(-self.exponent(s, 0)[0])
 
-    def derivative(self, s: float, n: int) -> float:
-        if n == 0:
-            return self.fn(s)
-        if self.dn is not None:
-            return self.dn(s, n)
-        if n == 1 and self.d1 is not None:
-            return self.d1(s)
-        return derivative_n(self.fn, s, n)
+    def derivatives(self, s: float, n: int) -> list[float]:
+        """[L(s), s L'(s), ..., s^n L^(n)(s)] for any n >= 0.
 
+        L^(i) = -sum_j binom(i-1, j) G^(j+1) L^(i-1-j), which keeps its
+        form when both sides are scaled by s^i. G^(m) has the sign of
+        (-1)^(m+1), so every term of (-1)^i L^(i) is nonnegative and no
+        order suffers cancellation.
+        """
 
-def _h_coefficient(p: float, lam: float, amplitude: float, alpha: float,
-                   k: int, theta: float) -> float:
-    """Coefficient K of L_H(s) = exp(-K s^(1/alpha)) for an on-road rx.
-
-    Comes from the binomial expansion of 1 - (1 + b r^-alpha)^-k
-    integrated over the road; for k = 1 it collapses to the familiar
-    2 p lam (A theta)^(1/alpha) (pi/alpha) csc(pi/alpha).
-    """
-
-    total = 0.0
-    for q in range(k):
-        total += (math.comb(k, q) * gamma_fn(q + 1.0 / alpha)
-                  * gamma_fn(k - q - 1.0 / alpha))
-    total /= gamma_fn(float(k)) * alpha
-    return 2.0 * p * lam * (amplitude * theta) ** (1.0 / alpha) * total
+        g = self.exponent(s, n)
+        out = [math.exp(-g[0])]
+        for i in range(1, n + 1):
+            out.append(-sum(math.comb(i - 1, j) * g[j + 1] * out[i - 1 - j]
+                            for j in range(i)))
+        return out
 
 
 def eval_context(scenario: Scenario, link: LinkSpec) -> EvalContext:
@@ -124,8 +123,8 @@ def lt_h_sqrt_derivative(kappa: float, zeta: float, n: int) -> float:
     """Exact n-th derivative of zeta -> exp(-kappa sqrt(zeta)), any n >= 0.
 
     Closed Pochhammer double sum; valid only for the alpha = 2 square-root
-    form. Also the reference the numeric differentiator is checked
-    against.
+    form. A test oracle for :meth:`InterferenceLT.derivatives` and for the
+    numeric differentiator.
     """
 
     if n < 0 or n != int(n):
@@ -143,91 +142,104 @@ def lt_h_sqrt_derivative(kappa: float, zeta: float, n: int) -> float:
     return base * zeta ** (-n) * total
 
 
-def _urban_v_parts(p: float, lam: float, amplitude: float, alpha: float,
-                   k: int, theta: float, d: float):
-    """G(s) = -ln L_V(s) and G'(s) for the street-canyon V road.
+# --- per-road exponents -----------------------------------------------------
 
-    Splitting the Erlang tail binomially and integrating each
-    (t^alpha + b)^-k piece over the road beyond the corner gives, with
-    b = A s theta and per binomial index q:
+def _power_law_exponent(p: float, lam: float, amplitude: float, alpha: float,
+                        k: int, theta: float, d: float):
+    """G and its derivatives for Aloha Erlang(k, theta) interferers at
+    distance t = d + |u| from the receiver, u along the road.
 
-        G(s) = 2 p lam sum_q binom(k,q) Gamma(q+1/alpha)/alpha *
-               [ b^(1/alpha) Gamma(k-q-1/alpha)/Gamma(k)
-                 - d^(alpha q + 1) b^-q 2F1reg(k, q+1/alpha; 1+q+1/alpha; -d^alpha/b) ]
+    With c = A theta s and x = c / (c + d^alpha), integrating
+    1 - (1 + c t^-alpha)^-k over t >= d by parts gives, B_x the
+    unregularized incomplete beta function,
 
-    The finite part subtracted through the regularized hypergeometric is
-    the [0, d) stretch of road the corner geometry removes; at d = 0 the
-    whole expression reduces to the H-road coefficient.
+        G          = 2 p lam [c^(1/alpha) k B_x(1 - 1/alpha, k + 1/alpha)
+                              - d (1 - (1 - x)^k)]
+        s^m G^(m)  = (-1)^(m+1) (k)_m 2 p lam c^(1/alpha) / alpha
+                     * B_x(m - 1/alpha, k + 1/alpha),
+
+    with (k)_m the rising factorial. d = 0 is the receiver's own road
+    (x = 1, complete beta functions); d = |rx.x| is the street-canyon V
+    road.
     """
 
-    coeff = 2.0 * p * lam
-    gk = gamma_fn(float(k))
-    q_terms = []
-    for q in range(k):
-        c_q = math.comb(k, q) * gamma_fn(q + 1.0 / alpha) / alpha
-        g1_q = gamma_fn(k - q - 1.0 / alpha) / gk
-        q_terms.append((q, c_q, g1_q))
-    b_prime = amplitude * theta
+    inv_alpha = 1.0 / alpha
+    b = k + inv_alpha
 
-    def neglog(s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        b = amplitude * s * theta
-        total = 0.0
-        for q, c_q, g1_q in q_terms:
-            head = b ** (1.0 / alpha) * g1_q
-            tail = 0.0
-            if d > 0.0:
-                w = -(d ** alpha) / b
-                f_q = hyp2f1_regularized(float(k), q + 1.0 / alpha,
-                                         1.0 + q + 1.0 / alpha, w)
-                tail = d ** (alpha * q + 1.0) * b ** (-float(q)) * f_q
-            total += c_q * (head - tail)
-        return coeff * total
+    def incomplete_beta(a: float, x: float) -> float:
+        # B(a, b) by lgamma, and no betainc call at x = 1 (the receiver's
+        # own road): each scalar scipy call costs about 1 us.
+        complete = math.exp(math.lgamma(a) + math.lgamma(b)
+                            - math.lgamma(a + b))
+        return complete * float(betainc(a, b, x)) if x < 1.0 else complete
 
-    def neglog_prime(s: float) -> float:
-        b = amplitude * s * theta
-        total = 0.0
-        for q, c_q, g1_q in q_terms:
-            head = g1_q * b_prime * b ** (1.0 / alpha - 1.0) / alpha
-            tail = 0.0
-            if d > 0.0:
-                w = -(d ** alpha) / b
-                a1, b1, c1 = float(k), q + 1.0 / alpha, 1.0 + q + 1.0 / alpha
-                f_q = hyp2f1_regularized(a1, b1, c1, w)
-                fp_q = a1 * b1 * hyp2f1_regularized(a1 + 1.0, b1 + 1.0,
-                                                    c1 + 1.0, w)
-                w_prime = (d ** alpha) * b_prime / (b * b)
-                tail = d ** (alpha * q + 1.0) * (
-                    -q * b ** (-float(q) - 1.0) * b_prime * f_q
-                    + b ** (-float(q)) * fp_q * w_prime
-                )
-            total += c_q * (head - tail)
-        return coeff * total
+    def exponent(s: float, n: int) -> list[float]:
+        c = amplitude * theta * s
+        x = 1.0 if d == 0.0 else c / (c + d ** alpha)
+        head = 2.0 * p * lam * c ** inv_alpha
+        out = [head * k * incomplete_beta(1.0 - inv_alpha, x)
+               - 2.0 * p * lam * d * (1.0 - (1.0 - x) ** k)]
+        for m in range(1, n + 1):
+            out.append((-1.0) ** (m + 1) * pochhammer(k, m) * head
+                       * inv_alpha * incomplete_beta(m - inv_alpha, x))
+        return out
 
-    return neglog, neglog_prime
+    return exponent
 
 
-# --- per-road Laplace transforms --------------------------------------------
+def _los_exponent(p: float, lam: float, amplitude: float, theta: float,
+                  d: float):
+    """G = p lam pi b / sqrt(b + d^2), b = A theta s, and its derivatives,
+    for the line-of-sight V road with exponential fading at alpha = 2.
 
-def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
-                            s: float,
-                            settings: QuadratureSettings | None = None) -> float:
-    """L_{I_R}(s) by direct quadrature of the intensity-weighted exponent.
+    With u = b + d^2, G = p lam pi (u^(1/2) - d^2 u^(-1/2)), so
 
-    exp(-integral of lambda_mac(z) (1 - L_S(s l(z, rx))) dz) over the
-    road. Universal fallback: every closed form in this module is tested
-    against it. Breakpoints mark the kinks the MAC geometry introduces so
-    the adaptive subdivision starts from the right segments.
+        s^m G^(m) = p lam pi (b/u)^m [f(1/2, m) u^(1/2)
+                                      - d^2 f(-1/2, m) u^(-1/2)]
+
+    with the falling factorial f(x, m) = x (x - 1) ... (x - m + 1). The
+    two bracketed terms share one sign for m >= 1; G itself uses the
+    uncancelled b / sqrt(u).
     """
 
-    if s == 0.0:
-        return 1.0
-    if s < 0:
-        raise ValueError(f"LT argument must be >= 0, got {s}")
+    scale = amplitude * theta
+    base = p * lam * math.pi
+
+    def exponent(s: float, n: int) -> list[float]:
+        b = scale * s
+        u = b + d * d
+        root = math.sqrt(u)
+        # b / root is 0/0 at the corner when s = 0.
+        out = [base * b / root if b > 0.0 else 0.0]
+        upper, lower = 0.5, -0.5  # f(1/2, m) and f(-1/2, m)
+        for m in range(1, n + 1):
+            out.append(base * (b / u) ** m * (upper * root
+                                              - d * d * lower / root))
+            upper *= 0.5 - m
+            lower *= -0.5 - m
+        return out
+
+    return exponent
+
+
+def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec,
+                         settings: QuadratureSettings | None = None):
+    """s^m G^(m)(s) by one adaptive quadrature per order m.
+
+    G         = integral of lambda_mac(z) (1 - L_S(s g(z))) dz,
+    s^m G^(m) = integral of lambda_mac(z) (-1)^(m+1) (k)_m (s theta g)^m
+                (1 + s theta g)^-(k+m) dz,
+
+    over the road, g(z) the mean path gain from z to ``link.rx``. The
+    scaled integrands are of the size of G; the quadrature's absolute
+    tolerance would swamp the unscaled G^(m) ~ G / s^m. The variable is
+    u = (z - center) / reach, reach the distance at which s theta g = 1:
+    in z, a reach far beyond the last kink (large s) leaves the
+    infinite-range rule failing to converge. Breakpoints mark the kinks
+    the MAC geometry introduces.
+    """
+
     mac = scenario.mac
-    if isinstance(mac, NoMac):
-        return 1.0
     fading = scenario.fading_h if road == "h" else scenario.fading_v
     loss = scenario.loss_h if road == "h" else scenario.loss_v
     lt_s = fading_lt(fading)
@@ -235,8 +247,6 @@ def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
 
     cuts: list[float] = []
     if isinstance(mac, Aloha):
-        if mac.p == 0.0:
-            return 1.0
         intensity = aloha_intensity(road, scenario, link.tx)
     elif isinstance(mac, Csma):
         intensity = csma_intensity(road, scenario, link.tx)
@@ -255,39 +265,74 @@ def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
     else:
         raise WrongScenario(f"no interferer intensity defined for {mac!r}")
 
+    center = rx.x if road == "h" else 0.0
+    cuts.append(center)  # distance kink at the receiver or the corner
     if road == "h":
-        cuts.append(rx.x)  # distance kink at the receiver
-
         def dist(z: float) -> float:
             return abs(z - rx.x)
+    elif loss.norm == EUCLIDEAN:
+        def dist(z: float) -> float:
+            return math.hypot(rx.x, z)
     else:
-        cuts.append(0.0)
-        if loss.norm == EUCLIDEAN:
-            def dist(z: float) -> float:
-                return math.hypot(rx.x, z)
-        else:
-            def dist(z: float) -> float:
-                return abs(rx.x) + abs(z)
+        def dist(z: float) -> float:
+            return abs(rx.x) + abs(z)
 
     a_amp, alpha = loss.amplitude_a, loss.alpha
+    k, theta = lt_s.k, lt_s.theta
 
-    def integrand(z: float) -> float:
-        lam = intensity(z)
-        if lam == 0.0:
-            return 0.0
-        r = dist(z)
-        if r == 0.0:
-            return lam  # s*l -> inf, L_S -> 0
-        return lam * (1.0 - lt_s(s * a_amp * r ** (-alpha)))
+    def integrate(term: Callable[[float], float], s: float) -> float:
+        def integrand(z: float) -> float:
+            lam = intensity(z)
+            if lam == 0.0:
+                return 0.0
+            r = dist(z)
+            return lam * term(math.inf if r == 0.0 else a_amp * r ** (-alpha))
 
-    value, _err = integrate_line(integrand, "full", breakpoints=cuts,
-                                 settings=settings)
-    return math.exp(-value)
+        reach = (s * theta * a_amp) ** (1.0 / alpha) or 1.0
+        value, _err = integrate_line(
+            lambda u: reach * integrand(center + reach * u), "full",
+            breakpoints=[(c - center) / reach for c in cuts] + [-1.0, 1.0],
+            settings=settings)
+        return value
+
+    def exponent(s: float, n: int) -> list[float]:
+        # At the receiver itself (g = inf) L_S(s g) = 0, so the order-0
+        # integrand is 1 and every higher one is 0.
+        out = [integrate(lambda g: 1.0 - lt_s(s * g), s)]
+        for m in range(1, n + 1):
+            coef = (-1.0) ** (m + 1) * pochhammer(k, m)
+
+            def term(g: float, m: int = m, coef: float = coef) -> float:
+                if g == math.inf:
+                    return 0.0
+                x = s * theta * g
+                return coef * (x / (1.0 + x)) ** m * (1.0 + x) ** -k
+
+            out.append(integrate(term, s))
+        return out
+
+    return exponent
 
 
-def _unit_lt(road: str) -> InterferenceLT:
-    return InterferenceLT(fn=lambda s: 1.0, road=road, provenance="closed-form",
-                          dn=lambda s, n: 1.0 if n == 0 else 0.0)
+def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
+                            s: float,
+                            settings: QuadratureSettings | None = None) -> float:
+    """L_{I_R}(s) by direct quadrature of the intensity-weighted exponent.
+
+    exp(-integral of lambda_mac(z) (1 - L_S(s l(z, rx))) dz) over the
+    road. Universal fallback: every closed form in this module is tested
+    against it.
+    """
+
+    if s == 0.0:
+        return 1.0
+    if s < 0:
+        raise ValueError(f"LT argument must be >= 0, got {s}")
+    mac = scenario.mac
+    if isinstance(mac, NoMac) or (isinstance(mac, Aloha) and mac.p == 0.0):
+        return 1.0
+    exponent = _quadrature_exponent(road, scenario, link, settings)
+    return math.exp(-exponent(s, 0)[0])
 
 
 def road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
@@ -300,73 +345,28 @@ def road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
 
     mac = scenario.mac
     if isinstance(mac, NoMac) or (isinstance(mac, Aloha) and mac.p == 0.0):
-        return _unit_lt(road)
+        return InterferenceLT(lambda s, n: [0.0] * (n + 1), road,
+                              "closed-form")
 
     fading = scenario.fading_h if road == "h" else scenario.fading_v
     loss = scenario.loss_h if road == "h" else scenario.loss_v
     lam = scenario.roads.density(road)
 
     if isinstance(mac, Aloha) and isinstance(fading, Erlang):
-        p = mac.p
-        if road == "h":
-            # Interferers and receiver share the road, so both norms give
-            # the same 1-D distance and one closed form covers them.
-            kappa = _h_coefficient(p, lam, loss.amplitude_a, loss.alpha,
-                                   fading.k, fading.theta)
-            inv_alpha = 1.0 / loss.alpha
-
-            def fn(s: float, _k: float = kappa) -> float:
-                return math.exp(-_k * s ** inv_alpha)
-
-            def d1(s: float, _k: float = kappa) -> float:
-                return -_k * inv_alpha * s ** (inv_alpha - 1.0) * fn(s)
-
-            dn = None
-            if loss.alpha == 2.0:
-                def dn(s: float, n: int, _k: float = kappa) -> float:
-                    return lt_h_sqrt_derivative(_k, s, n)
-
-            return InterferenceLT(fn=fn, road=road, provenance="closed-form",
-                                  d1=d1, dn=dn)
-
-        d = abs(link.rx.x)
-        if loss.norm == MANHATTAN:
-            neglog, neglog_prime = _urban_v_parts(p, lam, loss.amplitude_a,
-                                                  loss.alpha, fading.k,
-                                                  fading.theta, d)
-
-            def fn(s: float) -> float:
-                return math.exp(-neglog(s))
-
-            def d1(s: float) -> float:
-                return -neglog_prime(s) * fn(s)
-
-            return InterferenceLT(fn=fn, road=road, provenance="closed-form",
-                                  d1=d1)
-
+        # On the receiver's road both norms give the same 1-D distance.
+        d = 0.0 if road == "h" else abs(link.rx.x)
+        if road == "h" or loss.norm == MANHATTAN:
+            return InterferenceLT(
+                _power_law_exponent(mac.p, lam, loss.amplitude_a, loss.alpha,
+                                    fading.k, fading.theta, d),
+                road, "closed-form")
         if fading.k == 1 and loss.alpha == 2.0:
-            scale = loss.amplitude_a * fading.theta
-            base = p * lam * math.pi
+            return InterferenceLT(
+                _los_exponent(mac.p, lam, loss.amplitude_a, fading.theta, d),
+                road, "closed-form")
 
-            def fn(s: float) -> float:
-                if s == 0.0:
-                    return 1.0  # b / sqrt(b + d^2) is 0/0 at the corner
-                b = scale * s
-                return math.exp(-base * b / math.sqrt(b + d * d))
-
-            def d1(s: float) -> float:
-                b = scale * s
-                c_prime = scale * (0.5 * b + d * d) / (b + d * d) ** 1.5
-                return -base * c_prime * fn(s)
-
-            return InterferenceLT(fn=fn, road=road, provenance="closed-form",
-                                  d1=d1)
-
-    # Everything else: quadrature over the MAC intensity.
-    def fn(s: float) -> float:
-        return lt_interference_generic(road, scenario, link, s)
-
-    return InterferenceLT(fn=fn, road=road, provenance="quadrature")
+    return InterferenceLT(_quadrature_exponent(road, scenario, link), road,
+                          "quadrature")
 
 
 # --- log-normal surrogate ---------------------------------------------------
@@ -415,42 +415,31 @@ def reception_probability(scenario: Scenario, link: LinkSpec) -> float:
     """P(SINR >= beta) for the tagged link, given its transmitter is active.
 
     Log-normal fading enters through its Erlang surrogate. Each road's
-    transform comes from :func:`road_lt`. An exponential useful link
-    (k0 = 1) gives the product exp(-zeta N~) L_H(zeta) L_V(zeta); an
-    Erlang shape k0 > 1 gives the C/D double sum of the module docstring,
-    using derivatives up to order k0 - 1.
+    transform comes from :func:`road_lt`; an Erlang useful link of shape
+    k0 gives the count convolution of the module docstring, using exact
+    derivatives up to order k0 - 1 (for k0 = 1 it is the product
+    exp(-zeta N~) L_H(zeta) L_V(zeta)).
     """
 
     scenario = analytic_view(scenario)
     k0 = scenario.fading_useful.k
-    if k0 - 1 > 4:
-        raise OrderTooHigh(
-            f"Erlang shape k0={k0} needs LT derivatives of order {k0 - 1}; "
-            "orders above 4 are rejected (see numerics.derivative_n)")
-
     ctx = eval_context(scenario, link)
-    zeta, tilde_n = ctx.zeta, ctx.tilde_n
-    lt_h = road_lt("h", scenario, link)
-    lt_v = road_lt("v", scenario, link)
-    if k0 == 1:
-        return math.exp(-tilde_n * zeta) * lt_h(zeta) * lt_v(zeta)
-
-    # All terms are nonnegative (they are expectations of nonnegative
-    # quantities), so the double sum is numerically benign.
-    dh = [lt_h.derivative(zeta, n) for n in range(k0)]
-    dv = [lt_v.derivative(zeta, n) for n in range(k0)]
-    total = 0.0
-    for i in range(k0):
-        weight = zeta ** i / math.factorial(i)
-        for j in range(i + 1):
-            c_j = 0.0
+    noise = ctx.zeta * ctx.tilde_n
+    law = [math.exp(-noise)]  # P(N_0 = a), then of N_0 + N_H, ...
+    for a in range(1, k0):
+        law.append(law[-1] * noise / a)
+    for road in ("h", "v"):
+        scaled = road_lt(road, scenario, link).derivatives(ctx.zeta, k0 - 1)
+        road_law = [(-1.0) ** n * d / math.factorial(n)
+                    for n, d in enumerate(scaled)]
+        total = []
+        for j in range(k0):
+            acc = 0.0
             for n in range(j + 1):
-                c_j += (math.comb(j, n) * tilde_n ** (j - n)
-                        * (-1.0) ** n * dh[n])
-            d_ij = (-1.0) ** (i - j) * dv[i - j]
-            total += math.comb(i, j) * weight * c_j * d_ij
-    value = math.exp(-zeta * tilde_n) * total
-    return min(1.0, max(0.0, value))
+                acc += law[j - n] * road_law[n]
+            total.append(acc)
+        law = total
+    return min(1.0, max(0.0, sum(law)))
 
 
 def throughput(scenario: Scenario, link: LinkSpec) -> float:

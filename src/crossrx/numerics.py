@@ -1,9 +1,12 @@
-"""Numeric kernels shared by the analytic pipeline.
+"""Numeric kernels shared by the analytic pipeline and its tests.
 
 Scope is deliberately narrow: the gamma function, Pochhammer symbols, the
 regularized Gauss hypergeometric for real z <= 0, adaptive line integrals
 over (half-)infinite domains, and Richardson-extrapolated derivatives up
-to order 4. Everything is deterministic, so results are bit-reproducible
+to order 4. The pipeline itself uses only the Pochhammer symbols and the
+line integrals: its derivatives are exact, so ``derivative_n`` (with its
+``OrderTooHigh`` cap) and ``hyp2f1_regularized`` serve as test oracles
+only. Everything is deterministic, so results are bit-reproducible
 across runs and safe to call from worker threads.
 
 Gamma and the adaptive quadrature core are delegated to scipy (Lanczos

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import crossrx
-from crossrx import (Aloha, Csma, Erlang, LogNormal, NoMac, OrderTooHigh,
-                     PathLossSpec, Position, analytic_view, derivative_n,
-                     eval_context, lt_interference_generic,
-                     reception_probability, road_lt, throughput)
-from crossrx.analytic import lt_h_sqrt_derivative
+from crossrx import (Aloha, Csma, Erlang, LogNormal, NoMac, PathLossSpec,
+                     Position, analytic_view, derivative_n, eval_context,
+                     lt_interference_generic, reception_probability, road_lt,
+                     throughput)
+from crossrx.analytic import _quadrature_exponent, lt_h_sqrt_derivative
 
 from conftest import BETA, CANYON, NOISE_W, closed_form
 
@@ -27,6 +27,14 @@ def test_eval_context_reference(make_scenario, make_link):
     assert np.isclose(ctx.tilde_n, NOISE_W / 0.1, rtol=1e-15)
     assert np.isclose(ctx.tilde_beta, BETA * 100 ** 2 / 3e-5, rtol=1e-12)
     assert np.isclose(ctx.zeta, ctx.tilde_beta, rtol=1e-15)  # theta0 = 1
+
+
+def assert_exponents_match_quadrature(road, scen, link, s, orders=4):
+    """The closed-form s^m G^(m)(s), m <= orders, against one quadrature
+    per order."""
+    closed = closed_form(road, scen, link).exponent(s, orders)
+    quad = _quadrature_exponent(road, scen, link)(s, orders)
+    assert np.allclose(closed, quad, rtol=0.0, atol=1e-11), road
 
 
 def test_lt_rural_h_hand_value(make_scenario, make_link):
@@ -56,6 +64,7 @@ def test_lt_rural_v_matches_quadrature(make_scenario, make_link, s, d):
     link = make_link((d + 100, 0), (d, 0))
     assert np.isclose(closed_form("v", scen, link)(s),
                       lt_interference_generic("v", scen, link, s), rtol=1e-9)
+    assert_exponents_match_quadrature("v", scen, link, s)
 
 
 @pytest.mark.parametrize("s", [1e8, 1e9, 1e10])
@@ -65,6 +74,26 @@ def test_lt_urban_v_matches_quadrature(make_scenario, make_link, s):
     link = make_link((0, 50), (80, 0))
     assert np.isclose(closed_form("v", scen, link)(s),
                       lt_interference_generic("v", scen, link, s), rtol=1e-9)
+    assert_exponents_match_quadrature("v", scen, link, s)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+def test_power_law_exponents_match_quadrature(make_scenario, make_link,
+                                              alpha, k):
+    # The incomplete-beta closed form on the receiver's road (d = 0) and
+    # on the street-canyon V road at distance d from the corner.
+    fading = Erlang(k, 0.66)
+    scen = make_scenario(Aloha(0.01),
+                         loss_h=PathLossSpec("euclidean", 3e-5, alpha),
+                         loss_v=PathLossSpec("manhattan", 3e-5, alpha),
+                         fading_h=fading, fading_v=fading)
+    for s in (1e8, 1e9, 1e10):
+        assert_exponents_match_quadrature("h", scen,
+                                          make_link((0, 0), (10, 0)), s)
+        for d in (10.0, 100.0, 500.0):
+            assert_exponents_match_quadrature("v", scen,
+                                              make_link((0, 50), (d, 0)), s)
 
 
 def test_lt_at_zero_is_one(make_scenario, make_link):
@@ -102,6 +131,18 @@ def test_lt_h_sqrt_derivative_vs_differencing(kappa, zeta, n):
     exact = lt_h_sqrt_derivative(kappa, zeta, n)
     fd = derivative_n(lambda z: math.exp(-kappa * math.sqrt(z)), zeta, n)
     assert np.isclose(fd, exact, rtol=1e-6)
+
+
+@pytest.mark.parametrize("p", [0.005, 0.02, 0.1])
+@pytest.mark.parametrize("zeta", [1e6, 1e8, 1e10])
+def test_h_road_derivatives_match_pochhammer_oracle(make_scenario, make_link,
+                                                    p, zeta):
+    # At alpha = 2 with exponential fading L_H = exp(-kappa sqrt(s)).
+    lt = closed_form("h", make_scenario(Aloha(p)), make_link((100, 0), (0, 0)))
+    kappa = p * 0.01 * math.pi * math.sqrt(3e-5)
+    exact = [zeta ** n * lt_h_sqrt_derivative(kappa, zeta, n)
+             for n in range(8)]
+    assert np.allclose(lt.derivatives(zeta, 7), exact, rtol=1e-12, atol=0.0)
 
 
 def test_reception_rural_reference_point(make_scenario, make_link):
@@ -195,14 +236,33 @@ def test_reception_urban_requires_street_canyon(make_scenario, make_link):
                                 fading_v=Erlang(2, 0.66),
                                 fading_h=Erlang(2, 0.66)), link,
                   "closed-form", "closed-form")
+    # alpha = 3 street canyon far from the corner, where the
+    # hypergeometric series of the earlier closed form did not converge.
+    canyon3 = PathLossSpec("manhattan", 3e-5, 3.0)
+    scen = make_scenario(Aloha(0.01), loss_useful=canyon3, loss_h=canyon3,
+                         loss_v=canyon3)
+    link = make_link((310, 0), (300, 0))
+    assert_routes(scen, link, "closed-form", "closed-form")
+    assert 0.0 <= reception_probability(scen, link) <= 1.0
 
 
-def test_reception_generic_rejects_unsupported(make_scenario, make_link):
-    link = make_link((100, 0), (0, 0))
-    with pytest.raises(OrderTooHigh):
-        reception_probability(make_scenario(Aloha(0.01),
-                                            fading_useful=Erlang(7, 0.2)),
-                              link)
+def test_reception_erlang_shape_above_five(make_scenario, make_link):
+    # Derivatives are exact at any order, so k0 > 5 needs no cap. The
+    # first CSMA point takes quadratures up to order 18 far beyond the
+    # sensing radius (zeta ~ 1e13); on the second, zeta N~ ~ 1e8 and
+    # k0 = 39, so no power of zeta N~ may be formed on its own.
+    alpha4 = PathLossSpec("euclidean", 3e-5, 4.0)
+    cases = [
+        (make_scenario(Aloha(0.01), fading_useful=Erlang(7, 0.2)),
+         make_link((100, 0), (0, 0))),
+        (make_scenario(Csma(500.0), fading_useful=LogNormal(1.0)),
+         make_link((0, 0), (1500, 0))),
+        (make_scenario(Csma(500.0), loss_useful=alpha4, loss_h=alpha4,
+                       fading_useful=LogNormal(0.7)),
+         make_link((2000, 0), (0, 0))),
+    ]
+    for scen, link in cases:
+        assert 0.0 <= reception_probability(scen, link) <= 1.0
 
 
 def test_reception_lognormal_equals_its_analytic_view(make_scenario,

@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from crossrx import (Position, RoadConfig, access_probability,
-                     reception_probability)
+from crossrx import (Aloha, LogNormal, Position, RoadConfig,
+                     access_probability, analytic_view, reception_probability)
 from crossrx import cli
 from crossrx.cli import (AxisMismatch, SchemaError, UnknownPreset,
                          _delta_for_access, _parse_config, compare_files,
@@ -248,25 +248,28 @@ def test_access_probability_axis(tmp_path):
                           p_a * reception * rate, rtol=1e-9)
 
 
-def test_fit_erlang_subcommand(capsys):
-    assert main(["fit-erlang", "--sigma-db", "3.2",
-                 "--samples", "200000"]) == 0
+def test_fit_erlang_subcommand(capsys, make_scenario):
+    assert main(["fit-erlang", "--sigma-db", "3.2"]) == 0
     out = capsys.readouterr().out
     assert "Erlang k = 2" in out
+    # The printed surrogate is the one the analytic engine evaluates.
+    scen = make_scenario(Aloha(0.01), fading_useful=LogNormal(3.2))
+    assert f"theta = {analytic_view(scen).fading_useful.theta:.6f}" in out
 
 
 def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.ini")]) == 2
     assert "error:" in capsys.readouterr().err
 
+    # Too narrow a spread for an Erlang surrogate.
     bad = BASE_CONFIG.replace(
         "[fading_useful]\nfamily = exponential\ntheta = 1",
-        "[fading_useful]\nfamily = erlang\nk = 7\ntheta = 0.2")
+        "[fading_useful]\nfamily = lognormal\nsigma_db = 0.3")
     bad = bad.replace("engines = both", "engines = analytic")
     cfg = tmp_path / "bad.ini"
     cfg.write_text(bad)
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 3
-    assert "OrderTooHigh" in capsys.readouterr().err
+    assert "FitDegenerate" in capsys.readouterr().err
 
 
 def test_preset_emit_config(capsys):

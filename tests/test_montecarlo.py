@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from crossrx import (Aloha, Csma, NoMac, OutageEstimate, Position,
-                     SimSettings, access_probability, csma_intensity,
-                     reception_probability, simulate_outage,
+from crossrx import (Aloha, Csma, LogNormal, NoMac, OutageEstimate, Position,
+                     SimSettings, access_probability, analytic_view,
+                     csma_intensity, reception_probability, simulate_outage,
                      simulate_outage_sweep, simulate_throughput,
                      thin_csma_matern2)
 
@@ -126,6 +126,22 @@ def test_outage_tracks_analytic_with_interference(make_scenario, make_link):
     link = make_link((100, 0), (0, 0))
     est = simulate_outage(scen, link,
                           SimSettings(realizations=40000, seed=2,
+                                      window_half_length=50000.0))
+    analytic = 1.0 - reception_probability(scen, link)
+    assert abs(est.p_out - analytic) < 4 * est.std_err
+
+
+@pytest.mark.parametrize("sigma_db, k0", [(1.0, 19), (0.7, 39)])
+def test_outage_tracks_analytic_at_high_erlang_shape(make_scenario, make_link,
+                                                     sigma_db, k0):
+    # Narrow log-normal spreads fit large Erlang shapes: reception needs
+    # derivatives up to order k0 - 1.
+    scen = analytic_view(make_scenario(Aloha(0.02),
+                                       fading_useful=LogNormal(sigma_db)))
+    assert scen.fading_useful.k == k0
+    link = make_link((0, 0), (150, 0))
+    est = simulate_outage(scen, link,
+                          SimSettings(realizations=20000, seed=2,
                                       window_half_length=50000.0))
     analytic = 1.0 - reception_probability(scen, link)
     assert abs(est.p_out - analytic) < 4 * est.std_err
