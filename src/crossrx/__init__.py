@@ -7,7 +7,8 @@ from .analytic import (EvalContext, InterferenceLT, WrongScenario,
                        analytic_view, eval_context, lt_interference_generic,
                        reception_probability, road_lt, throughput)
 from .mac import (OffRoadPosition, WrongMac, access_probability,
-                  aloha_intensity, contention_mass, csma_intensity)
+                  access_probability_at, aloha_intensity, contention_mass,
+                  csma_intensity)
 from .model import (Aloha, Csma, Erlang, Exponential, LinkSpec, LogNormal,
                     NoMac, PathLossSpec, Position, RoadConfig, Scenario,
                     ValidationReport, distance, swap_roads, validate)

@@ -48,7 +48,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import betainc
 
-from .mac import access_probability, aloha_intensity, csma_intensity
+from .mac import access_probability_at, aloha_intensity, csma_intensity
+# Unused here; perfbench's tracer patches it by name.
+from .mac import access_probability  # noqa: F401
 from .model import (EUCLIDEAN, MANHATTAN, Aloha, Csma, Erlang, LinkSpec,
                     LogNormal, NoMac, Scenario)
 # Test oracles only; perfbench's tracer patches them by name here.
@@ -447,12 +449,6 @@ def throughput(scenario: Scenario, link: LinkSpec) -> float:
 
     access probability x reception probability x log2(1 + beta)."""
 
-    mac = scenario.mac
-    if isinstance(mac, Aloha):
-        p_a = mac.p
-    elif isinstance(mac, Csma):
-        # The contention geometry is defined on the roads only.
-        p_a = access_probability(link.tx, mac.delta, scenario.roads)
-    else:
-        p_a = 1.0
-    return p_a * reception_probability(scenario, link) * math.log2(1.0 + link.beta)
+    return (access_probability_at(scenario, link.tx)
+            * reception_probability(scenario, link)
+            * math.log2(1.0 + link.beta))

@@ -426,15 +426,6 @@ def _sweep_points(plan: RunPlan, sweep: SweepSpec):
     return points
 
 
-def _access_at_tx(scenario, link) -> float:
-    if isinstance(scenario.mac, model.Aloha):
-        return scenario.mac.p
-    if isinstance(scenario.mac, model.Csma):
-        return mac.access_probability(link.tx, scenario.mac.delta,
-                                      scenario.roads)
-    return 1.0
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -467,7 +458,7 @@ def _evaluate_sweep(plan: RunPlan, sweep: SweepSpec):
         base = {_AXIS_COLUMN[sweep.axis]: value}
         for key, override in sweep.overrides:
             base[key] = override
-        p_access = _access_at_tx(scenario, link)
+        p_access = mac.access_probability_at(scenario, link.tx)
         for out in sweep.outputs:
             row = dict(base)
             if want_analytic:

@@ -80,6 +80,20 @@ def access_probability(z_pos: Position, delta: float, roads: RoadConfig) -> floa
     return access_probability_from_mass(contention_mass(z_pos, delta, roads))
 
 
+def access_probability_at(scenario: Scenario, pos: Position) -> float:
+    """Probability that a node at pos accesses the channel under the
+    scenario's MAC: p for Aloha, the CSMA timer-race win probability, 1
+    without a MAC."""
+
+    mac = scenario.mac
+    if isinstance(mac, Aloha):
+        return mac.p
+    if isinstance(mac, Csma):
+        # The contention geometry is defined on the roads only.
+        return access_probability(pos, mac.delta, scenario.roads)
+    return 1.0
+
+
 def aloha_intensity(road: str, scenario: Scenario, tx: Position) -> IntensityFn:
     """Constant thinned intensity z -> p * lambda_R. tx is unused: Aloha
 

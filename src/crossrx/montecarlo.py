@@ -17,6 +17,15 @@ bit-identical results.
 Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
 fading, useful fading.
+
+Per-chunk work after the draws. Aloha keeps every drawn node (its
+thinning is folded into the draw), so each receiver sums gains over the
+padded (realization x node) arrays. CSMA runs the Matern II kernel once
+for the chunk, because retention depends on the marks alone; each link
+then applies its own transmitter's kill disc to the retained nodes. The
+retained nodes are gathered into flat (realization, position, fading)
+arrays, so each receiver computes gains for those nodes only and sums
+them per realization with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -28,8 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mac import access_probability, access_probability_from_mass
-from .model import (EUCLIDEAN, Aloha, Csma, LinkSpec, NoMac, Position,
+from .mac import access_probability_at, access_probability_from_mass
+# Unused here; perfbench's tracer patches it by name.
+from .mac import access_probability  # noqa: F401
+from .model import (EUCLIDEAN, Aloha, Csma, LinkSpec, PathLossSpec, Position,
                     Scenario)
 from .propagation import path_loss, sample_fading_array
 
@@ -41,6 +52,9 @@ _MASK64 = (1 << 64) - 1
 _CELL_BUDGET_IID = 1 << 22
 _CELL_BUDGET_MATERN = 1 << 18
 _MAX_ROWS = 4096
+# Sorted neighbours on each side that the Matern kernel compares a node
+# with before it runs the node's full window query.
+_NEIGHBOUR_SCREEN = 3
 
 
 @dataclass(frozen=True)
@@ -95,110 +109,129 @@ def thin_csma_matern2(points_h, points_v, tx: Position, delta: float,
     keep_h, keep_v = _matern2_retain(
         ph, np.ones(ph.shape, bool), marks_h,
         pv, np.ones(pv.shape, bool), marks_v,
-        tx.x, tx.y, delta, bound=extent + 2.0)
+        delta, bound=extent + 2.0)
+    keep_h &= _clear_of_tx("h", ph, tx, delta)
+    keep_v &= _clear_of_tx("v", pv, tx, delta)
     return ph[0][keep_h[0]], pv[0][keep_v[0]]
 
 
 # --- Matern II kernel --------------------------------------------------------
 #
-# Batched over realizations (rows). Positions are packed into one flat
-# sorted key array, key = row * span + position, with span chosen so rows
-# cannot overlap; every contention window is then a contiguous slice and
-# a sparse min-table answers "smallest mark in [lo, hi)" for all nodes at
-# once. A node is retained iff its own mark IS the window minimum (the
-# window includes the node itself, which spares an exclusion pass) and
-# strictly beats the other road's window.
+# Batched over realizations (rows), and run once per chunk: retention
+# depends on the marks alone, so every link of a chunk shares it and only
+# applies its own transmitter's kill disc afterwards (_clear_of_tx).
+#
+# Each road's valid nodes are sorted by position within their row and
+# packed into one flat key array, key = row * span + position, with span
+# chosen so rows cannot overlap; every contention window is then a
+# contiguous slice and a sparse min-table answers "smallest mark in
+# [lo, hi)" for many nodes at once. A node is retained iff its own mark IS
+# the window minimum on its own road (the window includes the node
+# itself, which spares an exclusion pass) and strictly beats the other
+# road's window. Before the own-road query, each node is compared with
+# its _NEIGHBOUR_SCREEN nearest sorted neighbours on each side, using the
+# same key bounds as the query; a node one of them beats is out, and
+# only the rest are queried. The other road's window is the chord
+# centered on the intersection, so it is empty unless |z| <= delta, and
+# it is only queried for those nodes that already won their own road.
+# Retention is a function of marks and positions only, so the sorted
+# evaluation order does not change which fading draw belongs to which
+# node, and the masks come back in the input layout.
 
-def _build_min_table(flat: np.ndarray, max_span: int) -> list[np.ndarray]:
-    levels = [flat]
-    size = 1
-    while size < max_span:
+def _grow_min_table(levels: list[np.ndarray], max_span: int) -> None:
+    """Extend the sparse min-table in place so that it answers windows of
+    up to max_span entries: level l holds min(flat[i : i + 2**l])."""
+    while (1 << len(levels)) <= max_span:
+        width = 1 << (len(levels) - 1)
         prev = levels[-1]
-        shifted = np.concatenate([prev[size:], np.full(size, np.inf)])
-        levels.append(np.minimum(prev, shifted))
-        size *= 2
-    return levels
+        level = prev.copy()
+        np.minimum(prev[:-width], prev[width:], out=level[:-width])
+        levels.append(level)
 
 
 def _range_min(levels: list[np.ndarray], lo: np.ndarray,
                hi: np.ndarray) -> np.ndarray:
     out = np.full(lo.shape, np.inf)
     span = hi - lo
-    nonempty = span > 0
-    if not nonempty.any():
+    if not span.size:
         return out
-    lv = np.zeros(lo.shape, dtype=np.int64)
-    # frexp exponent - 1 == floor(log2(span)), exact for integer spans
-    lv[nonempty] = np.frexp(span[nonempty].astype(np.float64))[1] - 1
-    for level in np.unique(lv[nonempty]):
+    _grow_min_table(levels, int(span.max()))
+    # frexp exponent - 1 == floor(log2(span)), exact for integer spans;
+    # an empty window (span 0) gets -1.
+    lv = np.frexp(span.astype(np.float64))[1] - 1
+    for level in np.unique(lv[lv >= 0]):
         width = 1 << int(level)
         table = levels[int(level)]
-        sel = nonempty & (lv == level)
+        sel = np.flatnonzero(lv == level)
         out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - width])
     return out
 
 
 def _matern2_retain(pos_h, valid_h, marks_h, pos_v, valid_v, marks_v,
-                    tx_x: float, tx_y: float, delta: float,
-                    bound: float) -> tuple[np.ndarray, np.ndarray]:
+                    delta: float, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Matern II retention of both roads from their marks, one row per
+    realization; boolean masks shaped like the inputs.
+
+    The tagged transmitter's kill disc is not applied here. ``bound``
+    must exceed every valid |position| by at least delta.
+    """
     rows = pos_h.shape[0]
     span = 2.0 * bound + 4.0
-    sentinel = bound + 1.0
-    row_off = np.arange(rows, dtype=np.float64)[:, None] * span
-
-    def pack(pos, valid, marks):
-        m = pos.shape[1]
-        if m == 0:
-            return None
-        filled = np.where(valid, pos, sentinel)
-        order = np.argsort(filled, axis=1, kind="stable")
-        keys = (np.take_along_axis(filled, order, axis=1) + row_off).ravel()
-        srt_marks = np.take_along_axis(
-            np.where(valid, marks, np.inf), order, axis=1).ravel()
-        return keys, _build_min_table(srt_marks, m)
-
-    packed = {"h": pack(pos_h, valid_h, marks_h),
-              "v": pack(pos_v, valid_v, marks_v)}
-
-    def window_min(target: str, centers: np.ndarray,
-                   reach: np.ndarray) -> np.ndarray:
-        # Min mark on road `target` within [centers - reach, centers + reach]
-        # per node; reach < 0 marks an empty window.
-        if packed[target] is None:
-            return np.full(centers.shape, np.inf).ravel()
-        keys, levels = packed[target]
-        nonempty = reach >= 0.0
-        safe_reach = np.where(nonempty, reach, 0.0)
-        lo_vals = np.clip(centers - safe_reach, -bound - 1.0, bound + 2.0)
-        hi_vals = np.clip(centers + safe_reach, -bound - 1.0, bound + 2.0)
-        rows_idx = np.broadcast_to(row_off, centers.shape)
-        lo = np.searchsorted(keys, (lo_vals + rows_idx).ravel(), side="left")
-        hi = np.searchsorted(keys, (hi_vals + rows_idx).ravel(), side="right")
-        lo = np.where(nonempty.ravel(), lo, 0)
-        hi = np.where(nonempty.ravel(), hi, 0)
-        return _range_min(levels, lo, hi)
-
+    row_off = np.arange(rows, dtype=np.float64) * span
     delta_sq = delta * delta
 
-    def retain(pos, valid, marks, own: str, cross: str,
-               tx_along: float, tx_perp: float) -> np.ndarray:
-        if pos.shape[1] == 0:
-            return np.zeros(pos.shape, dtype=bool)
-        full_reach = np.full(pos.shape, delta)
-        own_min = window_min(own, pos, full_reach).reshape(pos.shape)
-        cross_gap = delta_sq - pos * pos
-        cross_reach = np.where(cross_gap >= 0.0, np.sqrt(np.maximum(cross_gap, 0.0)),
-                               -1.0)
-        # The reachable stretch of the other road is the chord centered
-        # on the intersection, not on the node itself.
-        cross_min = window_min(cross, np.zeros_like(pos),
-                               cross_reach).reshape(pos.shape)
-        killed = (pos - tx_along) ** 2 + tx_perp ** 2 <= delta_sq
-        return valid & ~killed & (marks == own_min) & (marks < cross_min)
+    def pack(pos, valid, marks):
+        # Invalid cells sort last, so each row's valid nodes are a prefix.
+        order = np.argsort(np.where(valid, pos, bound + 1.0), axis=1)
+        counts = np.count_nonzero(valid, axis=1)
+        row = np.repeat(np.arange(rows), counts)
+        col = order[np.arange(pos.shape[1]) < counts[:, None]]
+        z = pos[row, col]
+        mark = marks[row, col]
+        return {"row": row, "col": col, "z": z, "key": z + row_off[row],
+                "mark": mark, "levels": [mark]}
 
-    keep_h = retain(pos_h, valid_h, marks_h, "h", "v", tx_x, tx_y)
-    keep_v = retain(pos_v, valid_v, marks_v, "v", "h", tx_y, tx_x)
-    return keep_h, keep_v
+    def window(node_row, lo_pos, hi_pos):
+        # Key bounds of [lo_pos, hi_pos] in each node's own row.
+        return (np.clip(lo_pos, -bound - 1.0, bound + 2.0) + row_off[node_row],
+                np.clip(hi_pos, -bound - 1.0, bound + 2.0) + row_off[node_row])
+
+    def window_min(target, lo_key, hi_key) -> np.ndarray:
+        # Min mark on road `target` with lo_key <= key <= hi_key.
+        lo = np.searchsorted(target["key"], lo_key, side="left")
+        hi = np.searchsorted(target["key"], hi_key, side="right")
+        return _range_min(target["levels"], lo, hi)
+
+    h = pack(pos_h, valid_h, marks_h)
+    v = pack(pos_v, valid_v, marks_v)
+    masks = []
+    for own, cross, pos in ((h, v, pos_h), (v, h, pos_v)):
+        z, row, mark, key = own["z"], own["row"], own["mark"], own["key"]
+        lo_key, hi_key = window(row, z - delta, z + delta)
+        # A node beaten by one of its nearest neighbours inside its window
+        # cannot win; only the others need the window query.
+        keep = np.ones(z.shape, dtype=bool)
+        for k in range(1, _NEIGHBOUR_SCREEN + 1):
+            keep[k:] &= (key[:-k] < lo_key[k:]) | (mark[:-k] >= mark[k:])
+            keep[:-k] &= (key[k:] > hi_key[:-k]) | (mark[k:] >= mark[:-k])
+        idx = np.flatnonzero(keep)
+        keep[idx] = mark[idx] == window_min(own, lo_key[idx], hi_key[idx])
+        cross_gap = delta_sq - z * z
+        near = np.flatnonzero(keep & (cross_gap >= 0.0))
+        reach = np.sqrt(cross_gap[near])
+        keep[near] = mark[near] < window_min(cross,
+                                             *window(row[near], -reach, reach))
+        mask = np.zeros(pos.shape, dtype=bool)
+        mask[row[keep], own["col"][keep]] = True
+        masks.append(mask)
+    return masks[0], masks[1]
+
+
+def _clear_of_tx(road: str, pos: np.ndarray, tx: Position,
+                 delta: float) -> np.ndarray:
+    """Nodes of ``road`` outside the tagged transmitter's kill disc."""
+    along, perp = (tx.x, tx.y) if road == "h" else (tx.y, tx.x)
+    return (pos - along) ** 2 + perp ** 2 > delta * delta
 
 
 # --- SINR engine -------------------------------------------------------------
@@ -223,6 +256,12 @@ def _plan_rows(scenario: Scenario, settings: SimSettings) -> int:
     budget = (_CELL_BUDGET_MATERN if isinstance(scenario.mac, Csma)
               else _CELL_BUDGET_IID)
     return max(1, min(_MAX_ROWS, budget // max(est_cells, 1)))
+
+
+def _weighted_gains(road: str, pos: np.ndarray, fad: np.ndarray,
+                    loss: PathLossSpec, rx: Position) -> np.ndarray:
+    r = _road_distance(road, pos, rx, loss.norm)
+    return fad * (loss.amplitude_a * r ** (-loss.alpha))
 
 
 def _road_distance(road: str, positions: np.ndarray, rx: Position,
@@ -256,40 +295,57 @@ def _run_chunk(scenario: Scenario, links: list[LinkSpec],
     fad_v = sample_fading_array(scenario.fading_v, rng, (nrows, mv))
     s0 = sample_fading_array(scenario.fading_useful, rng, (nrows,))
 
-    retained_cache: dict = {}
+    if is_csma:
+        delta = scenario.mac.delta
+        keep_h, keep_v = _matern2_retain(
+            pos_h, valid_h, marks_h, pos_v, valid_v, marks_v, delta,
+            bound=w + delta + 2.0)
+        # Retained nodes only, as flat (row, position, fading) arrays.
+        retained = [(road, loss, np.nonzero(keep)[0], pos[keep], fad[keep])
+                    for road, loss, pos, keep, fad in (
+                        ("h", scenario.loss_h, pos_h, keep_h, fad_h),
+                        ("v", scenario.loss_v, pos_v, keep_v, fad_v))]
+        gains_cache: dict = {}
+        clear_cache: dict = {}
+
+        def interference(link: LinkSpec) -> np.ndarray:
+            rx_key, tx_key = link.rx.x, (link.tx.x, link.tx.y)
+            if rx_key not in gains_cache:
+                gains_cache[rx_key] = [
+                    _weighted_gains(road, pos, fad, loss, link.rx)
+                    for road, loss, _, pos, fad in retained]
+            if tx_key not in clear_cache:
+                clear_cache[tx_key] = [
+                    _clear_of_tx(road, pos, link.tx, delta)
+                    for road, _, _, pos, _ in retained]
+            total = np.zeros(nrows)
+            for (_, _, row, _, _), gains, clear in zip(
+                    retained, gains_cache[rx_key], clear_cache[tx_key]):
+                total += np.bincount(row[clear], weights=gains[clear],
+                                     minlength=nrows)
+            return total
+    else:
+        def interference(link: LinkSpec) -> np.ndarray:
+            total = np.zeros(nrows)
+            for road, pos, valid, fad, loss in (
+                    ("h", pos_h, valid_h, fad_h, scenario.loss_h),
+                    ("v", pos_v, valid_v, fad_v, scenario.loss_v)):
+                if pos.shape[1]:
+                    total += np.where(
+                        valid, _weighted_gains(road, pos, fad, loss, link.rx),
+                        0.0).sum(axis=1)
+            return total
+
     interference_cache: dict = {}
     fails = np.zeros(len(links), dtype=np.int64)
     for li, link in enumerate(links):
-        if is_csma:
-            tx_key = (link.tx.x, link.tx.y)
-            if tx_key not in retained_cache:
-                retained_cache[tx_key] = _matern2_retain(
-                    pos_h, valid_h, marks_h, pos_v, valid_v, marks_v,
-                    link.tx.x, link.tx.y, scenario.mac.delta,
-                    bound=w + scenario.mac.delta + 2.0)
-            keep_h, keep_v = retained_cache[tx_key]
-            cache_key = (link.rx.x, tx_key)
-        else:
-            keep_h, keep_v = valid_h, valid_v
-            cache_key = (link.rx.x, None)
-
+        cache_key = (link.rx.x, (link.tx.x, link.tx.y) if is_csma else None)
         if cache_key not in interference_cache:
-            total = np.zeros(nrows)
-            for road, pos, keep, fad, loss in (
-                    ("h", pos_h, keep_h, fad_h, scenario.loss_h),
-                    ("v", pos_v, keep_v, fad_v, scenario.loss_v)):
-                if pos.shape[1] == 0:
-                    continue
-                r = _road_distance(road, pos, link.rx, loss.norm)
-                gains = loss.amplitude_a * r ** (-loss.alpha)
-                total += np.where(keep, fad * gains, 0.0).sum(axis=1)
-            interference_cache[cache_key] = total
-
-        interference = interference_cache[cache_key]
+            interference_cache[cache_key] = interference(link)
         gain = path_loss(scenario.loss_useful, link.tx, link.rx)
         tilde_n = link.noise_w / link.power_w
         fails[li] = int(np.count_nonzero(
-            s0 * gain < link.beta * (tilde_n + interference)))
+            s0 * gain < link.beta * (tilde_n + interference_cache[cache_key])))
     return fails
 
 
@@ -378,12 +434,6 @@ def simulate_throughput(scenario: Scenario, link: LinkSpec,
                         settings: SimSettings) -> float:
     """Simulated link throughput: p_A(tx) * (1 - p_out) * log2(1 + beta)."""
 
-    mac = scenario.mac
-    if isinstance(mac, Aloha):
-        p_a = mac.p
-    elif isinstance(mac, Csma):
-        p_a = access_probability(link.tx, mac.delta, scenario.roads)
-    else:
-        p_a = 1.0
     est = simulate_outage(scenario, link, settings)
-    return p_a * (1.0 - est.p_out) * math.log2(1.0 + link.beta)
+    return (access_probability_at(scenario, link.tx) * (1.0 - est.p_out)
+            * math.log2(1.0 + link.beta))

@@ -8,6 +8,7 @@ from crossrx import (Aloha, Csma, LogNormal, NoMac, OutageEstimate, Position,
                      csma_intensity, reception_probability, simulate_outage,
                      simulate_outage_sweep, simulate_throughput,
                      thin_csma_matern2)
+from crossrx.montecarlo import _clear_of_tx, _matern2_retain
 
 
 # modest windows keep these tests quick; the truncation advisory is
@@ -76,6 +77,44 @@ def test_thin_csma_matches_brute_force(tx):
         exp_h, exp_v = brute_matern(ph, pv, marks_h, marks_v, tx, delta)
         np.testing.assert_array_equal(got_h, exp_h)
         np.testing.assert_array_equal(got_v, exp_v)
+
+
+@pytest.mark.parametrize("delta", [30.0, 120.0])
+def test_batched_retention_matches_brute_force(delta):
+    # One padded chunk as the engine lays it out: each row draws its own
+    # counts, so every row but the longest ends in invalid cells, and the
+    # window is only a few delta wide, so many nodes on both roads see the
+    # other road. Invalid cells get mark 0, which would kill their
+    # neighbours if the kernel looked at them.
+    lam, window, nrows = 0.05, 300.0, 40
+    rng = philox(31, int(delta))
+    counts_h = rng.poisson(2.0 * window * lam, nrows)
+    counts_v = rng.poisson(2.0 * window * lam, nrows)
+    counts_v[3] = 0
+    pos_h = rng.uniform(-window, window, (nrows, counts_h.max()))
+    pos_v = rng.uniform(-window, window, (nrows, counts_v.max()))
+    valid_h = np.arange(pos_h.shape[1]) < counts_h[:, None]
+    valid_v = np.arange(pos_v.shape[1]) < counts_v[:, None]
+    marks_h = np.where(valid_h, rng.random(pos_h.shape), 0.0)
+    marks_v = np.where(valid_v, rng.random(pos_v.shape), 0.0)
+    assert (~valid_h).any() and (~valid_v).any()
+    assert (np.abs(pos_h[valid_h]) <= delta).sum() > nrows
+    assert (np.abs(pos_v[valid_v]) <= delta).sum() > nrows
+
+    keep_h, keep_v = _matern2_retain(pos_h, valid_h, marks_h,
+                                     pos_v, valid_v, marks_v, delta,
+                                     bound=window + delta + 2.0)
+    assert not (keep_h & ~valid_h).any() and not (keep_v & ~valid_v).any()
+    for tx in (Position(0.0, 0.0), Position(40.0, 0.0), Position(0.0, -55.0),
+               Position(70.0, 90.0)):
+        got_h = keep_h & _clear_of_tx("h", pos_h, tx, delta)
+        got_v = keep_v & _clear_of_tx("v", pos_v, tx, delta)
+        for r in range(nrows):
+            ph, pv = pos_h[r, :counts_h[r]], pos_v[r, :counts_v[r]]
+            exp_h, exp_v = brute_matern(ph, pv, marks_h[r, :counts_h[r]],
+                                        marks_v[r, :counts_v[r]], tx, delta)
+            np.testing.assert_array_equal(pos_h[r][got_h[r]], exp_h)
+            np.testing.assert_array_equal(pos_v[r][got_v[r]], exp_v)
 
 
 def test_thin_csma_validates_delta():
@@ -177,6 +216,28 @@ def test_sweep_is_linkwise_identical(make_scenario, make_link):
     sweep = simulate_outage_sweep(scen, links, settings)
     for link, est in zip(links, sweep):
         assert simulate_outage(scen, link, settings).p_out == est.p_out
+
+
+def test_csma_failure_counts_are_pinned(make_scenario, make_link):
+    # The output is a pure function of scenario, links and settings, so
+    # these failure counts move only if the draws, the Matern retention,
+    # the kill discs or the SINR count change. Two chunks (318 + 82
+    # rows), several transmitters on and off the roads, worker counts 1
+    # and 2.
+    links = ([make_link((10.0 + 50.0 * i, 0.0), (0.0, 0.0)) for i in range(6)]
+             + [make_link((0.0, 150.0), (0.0, 0.0)),
+                make_link((0.0, 150.0), (200.0, 0.0)),
+                make_link((80.0, 120.0), (0.0, 0.0)),
+                make_link((0.0, -40.0), (60.0, 0.0))])
+    pinned = {500.0: [3, 57, 178, 275, 335, 367, 252, 364, 245, 90],
+              2000.0: [1, 5, 16, 24, 48, 77, 24, 67, 23, 7]}
+    for delta, fails in pinned.items():
+        for workers in (1, 2):
+            settings = SimSettings(realizations=400, window_half_length=12000.0,
+                                   seed=11, workers=workers)
+            sweep = simulate_outage_sweep(make_scenario(Csma(delta)), links,
+                                          settings)
+            assert [round(est.p_out * 400) for est in sweep] == fails
 
 
 def test_workers_do_not_change_results(make_scenario, make_link):
