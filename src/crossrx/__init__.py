@@ -13,8 +13,8 @@ from .model import (Aloha, Csma, Erlang, Exponential, LinkSpec, LogNormal,
                     NoMac, PathLossSpec, Position, RoadConfig, Scenario,
                     ValidationReport, distance, swap_roads, validate)
 from .montecarlo import (OutageEstimate, SimSettings, simulate_outage,
-                         simulate_outage_sweep, simulate_throughput,
-                         thin_csma_matern2)
+                         simulate_outage_sweep, simulate_outages,
+                         simulate_throughput, thin_csma_matern2)
 from .numerics import (NonConvergence, OrderTooHigh, PoleError,
                        QuadratureSettings, ToleranceNotMet, derivative_n,
                        gamma_fn, hyp2f1_regularized, integrate_line,

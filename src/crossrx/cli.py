@@ -13,7 +13,8 @@ Subcommands:
 
 Exit codes: 0 success (and compare PASS), 1 compare FAIL, 2 config or
 schema error, 3 numeric failure (such as a quadrature tolerance or a
-surrogate fit). The analytic engine differentiates exactly
+surrogate fit), whose message names the sweep and axis value that raised
+it. The analytic engine differentiates exactly
 (``numerics.derivative_n`` is a test oracle only), so no Erlang shape is
 rejected for its derivative order.
 
@@ -38,7 +39,7 @@ from scipy.optimize import brentq
 from . import analytic, mac, model, propagation
 # Re-exported: perfbench warms the surrogate fit cache through it.
 from .analytic import analytic_view  # noqa: F401
-from .montecarlo import SimSettings, simulate_outage_sweep
+from .montecarlo import SimSettings, simulate_outage_sweep, simulate_outages
 from .numerics import NonConvergence, PoleError, ToleranceNotMet
 
 
@@ -56,6 +57,11 @@ class AxisMismatch(Exception):
 
 class UnknownPreset(Exception):
     pass
+
+
+class NumericFailure(Exception):
+    """A numeric error raised while evaluating the sweep point named in
+    the message; the original exception is the ``__cause__``."""
 
 
 # ---------------------------------------------------------------------------
@@ -430,35 +436,89 @@ def _sweep_points(plan: RunPlan, sweep: SweepSpec):
 # Evaluation
 
 
-def _evaluate_sweep(plan: RunPlan, sweep: SweepSpec):
+_NUMERIC_ERRORS = (ToleranceNotMet, NonConvergence, PoleError,
+                   propagation.FitDegenerate, analytic.WrongScenario,
+                   propagation.UnsupportedDistribution,
+                   propagation.DegenerateGeometry, mac.WrongMac,
+                   mac.OffRoadPosition, OverflowError)
+
+
+def _where(sweep: SweepSpec, value: float) -> str:
+    return f"sweep {sweep.name!r} at {sweep.axis} = {value!r}"
+
+
+def _failure(where: str, exc: Exception) -> NumericFailure:
+    return NumericFailure(f"{where}: {type(exc).__name__}: {exc}")
+
+
+def _evaluate_points(sweep: SweepSpec, points):
+    """Access probability at the transmitter of each point, and its
+    analytic reception probability when the sweep asks for that engine."""
+    want_analytic = sweep.engines in ("analytic", "both")
+    access, reception = [], []
+    try:
+        for value, scenario, link in points:
+            access.append(mac.access_probability_at(scenario, link.tx))
+            if want_analytic:
+                reception.append(
+                    analytic.reception_probability(scenario, link))
+    except _NUMERIC_ERRORS as exc:
+        raise _failure(_where(sweep, value), exc) from exc
+    return access, reception
+
+
+def _monte_carlo(plan: RunPlan, swept) -> list[list]:
+    """Monte Carlo estimates for every point of ``swept`` (a list of
+    (sweep, points)) whose sweep asks for them, as [sweep][point].
+
+    Points with equal scenarios, across sweeps too, form one job and
+    share its draws, and one batch call evaluates every chunk of every
+    job on one worker pool. A link's estimate does not depend on the
+    other links of its job, so the grouping changes no output bit.
+    """
+    groups: dict[model.Scenario, list] = {}
+    for i, (sweep, points) in enumerate(swept):
+        if sweep.engines in ("montecarlo", "both"):
+            for k, (_, scenario, link) in enumerate(points):
+                groups.setdefault(scenario, []).append((i, k, link))
+    members = list(groups.values())
+    jobs = [(scenario, [link for _, _, link in group])
+            for scenario, group in groups.items()]
+    try:
+        if len(jobs) == 1:
+            # The same engine under the name perfbench's tracer patches and
+            # counts (its test asserts the count); goes once the tracer
+            # wraps simulate_outages.
+            results = [simulate_outage_sweep(*jobs[0], plan.sim)]
+        else:
+            results = simulate_outages(jobs, plan.sim)
+    except _NUMERIC_ERRORS as exc:
+        group = members[exc.job]
+        i, k, _ = group[0]
+        sweep, points = swept[i]
+        where = _where(sweep, points[k][0])
+        if len(group) > 1:
+            where += f" (and {len(group) - 1} more points of its scenario)"
+        raise _failure(where, exc) from exc
+    estimates = [[None] * len(points) for _, points in swept]
+    for group, job_estimates in zip(members, results):
+        for (i, k, _), est in zip(group, job_estimates):
+            estimates[i][k] = est
+    return estimates
+
+
+def _sweep_rows(plan: RunPlan, sweep: SweepSpec, points, access,
+                reception_a, estimates):
     """Rows for one sweep section, keyed by output kind."""
-    points = _sweep_points(plan, sweep)
     want_analytic = sweep.engines in ("analytic", "both")
     want_mc = sweep.engines in ("montecarlo", "both")
-
-    reception_a = []
-    if want_analytic:
-        for _, scenario, link in points:
-            reception_a.append(analytic.reception_probability(scenario, link))
-
-    estimates = []
-    if want_mc:
-        same_scenario = all(s == points[0][1] for _, s, _ in points)
-        if same_scenario:
-            estimates = simulate_outage_sweep(
-                points[0][1], [link for _, _, link in points], plan.sim)
-        else:
-            for _, scenario, link in points:
-                estimates.extend(
-                    simulate_outage_sweep(scenario, [link], plan.sim))
-
     rate = math.log2(1.0 + plan.link.beta)
     rows = {out: [] for out in sweep.outputs}
-    for idx, (value, scenario, link) in enumerate(points):
+    for idx, (value, _, _) in enumerate(points):
         base = {_AXIS_COLUMN[sweep.axis]: value}
         for key, override in sweep.overrides:
             base[key] = override
-        p_access = mac.access_probability_at(scenario, link.tx)
+        p_access = access[idx]
         for out in sweep.outputs:
             row = dict(base)
             if want_analytic:
@@ -525,9 +585,17 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
             layout[out] = shape
             by_output.setdefault(out, [])
 
+    # Points are built once (access_probability sweeps solve delta per
+    # point); the analytic engine runs first, so that its failures show
+    # before the Monte Carlo batch runs.
+    swept = [(sweep, _sweep_points(plan, sweep)) for sweep in plan.sweeps]
+    evaluated = [_evaluate_points(sweep, points) for sweep, points in swept]
+    estimates = _monte_carlo(plan, swept)
     summary = {"files": [], "sweeps": []}
-    for sweep in plan.sweeps:
-        rows = _evaluate_sweep(plan, sweep)
+    for (sweep, points), (access, reception_a), sweep_estimates in zip(
+            swept, evaluated, estimates):
+        rows = _sweep_rows(plan, sweep, points, access, reception_a,
+                           sweep_estimates)
         worst = 0.0
         stderr = 0.0
         count = 0
@@ -889,11 +957,6 @@ def compare_files(path_a: str, path_b: str, tol_spec: str) -> tuple[bool, str]:
 # entry point
 
 
-_NUMERIC_ERRORS = (ToleranceNotMet, NonConvergence, PoleError,
-                   propagation.FitDegenerate, analytic.WrongScenario,
-                   propagation.UnsupportedDistribution,
-                   propagation.DegenerateGeometry, mac.WrongMac,
-                   mac.OffRoadPosition, OverflowError)
 _CONFIG_ERRORS = (ConfigParseError, SchemaError, AxisMismatch, UnknownPreset)
 
 
@@ -961,6 +1024,9 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericFailure as exc:
+        print(f"numeric failure in {exc}", file=sys.stderr)
+        return 3
     except _NUMERIC_ERRORS as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

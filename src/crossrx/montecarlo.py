@@ -10,9 +10,13 @@ included), and counts SINR failures.
 Reproducibility contract: a run is a pure function of (scenario, links,
 settings). Realizations are processed in fixed-size chunks; chunk i draws
 everything it needs from a counter-based stream keyed (seed, i), and the
-chunk layout depends only on scenario and settings. Worker threads only
-decide who evaluates which chunk, so any worker count produces
-bit-identical results.
+chunk layout depends only on scenario and settings. ``simulate_outages``
+takes a batch of (scenario, links) jobs and evaluates every chunk of
+every job on one pool of ``workers`` threads, so a batch of one-chunk
+jobs runs in parallel too. Threads only decide who evaluates which
+chunk, and each job's failure counts are integer sums over its chunks,
+so any worker count and any batch composition produce bit-identical
+results.
 
 Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
@@ -30,7 +34,9 @@ them per realization with ``np.bincount``.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -349,15 +355,23 @@ def _run_chunk(scenario: Scenario, links: list[LinkSpec],
     return fails
 
 
+def _warn(message: str) -> None:
+    """Warn on behalf of the nearest caller outside this module, so the
+    warning points at the code that called a public entry point."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals is globals():
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _truncation_warnings(scenario: Scenario, links: list[LinkSpec],
                          settings: SimSettings) -> None:
     w = settings.window_half_length
     for tag, lam in (("lambda_h", scenario.roads.lambda_h),
                      ("lambda_v", scenario.roads.lambda_v)):
         if lam > 0 and w < 10.0 / lam:
-            warnings.warn(
-                f"window half-length {w} m is under 10 mean spacings for "
-                f"{tag}={lam}; point counts will be tiny", stacklevel=3)
+            _warn(f"window half-length {w} m is under 10 mean spacings for "
+                  f"{tag}={lam}; point counts will be tiny")
     if not links:
         return
     tilde_n = links[0].noise_w / links[0].power_w
@@ -376,12 +390,73 @@ def _truncation_warnings(scenario: Scenario, links: list[LinkSpec],
         tail += (2.0 * lam_far * loss.amplitude_a
                  * w ** (1.0 - loss.alpha) / (loss.alpha - 1.0))
     if tail > 1e-3 * tilde_n:
-        warnings.warn(
-            f"expected interference truncated beyond the window "
-            f"({tail:.3e}) exceeds 1e-3 of normalized noise "
-            f"({tilde_n:.3e}); estimates carry a (usually small) "
-            "truncation bias - enlarge window_half_length to reduce it",
-            stacklevel=3)
+        _warn(f"expected interference truncated beyond the window "
+              f"({tail:.3e}) exceeds 1e-3 of normalized noise "
+              f"({tilde_n:.3e}); estimates carry a (usually small) "
+              "truncation bias - enlarge window_half_length to reduce it")
+
+
+@contextlib.contextmanager
+def _job_context(job: int):
+    """Tag an exception escaping the block with the index of its job."""
+    try:
+        yield
+    except Exception as exc:
+        exc.job = job
+        raise
+
+
+def _estimate(fails: int, n: int) -> OutageEstimate:
+    p_out = float(fails) / n
+    return OutageEstimate(p_out=p_out,
+                          std_err=math.sqrt(p_out * (1.0 - p_out) / n),
+                          realizations_used=n)
+
+
+def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
+                     settings: SimSettings) -> list[list[OutageEstimate]]:
+    """Outage estimates for a batch of jobs, each a scenario with the
+    links to evaluate on its draws; one list per job, in job order.
+
+    Each job gets exactly what ``simulate_outage_sweep`` gives it alone:
+    its chunk layout, streams and failure counts do not depend on the
+    other jobs. Every chunk of every job goes, in job and chunk order,
+    to one pool of ``settings.workers`` threads; with one worker the
+    chunks run in that order in the calling thread.
+
+    When chunks raise, the exception of the first failing chunk in job
+    and chunk order propagates, whatever the worker count, and its
+    ``job`` attribute holds the index of its job.
+    """
+
+    n = settings.realizations
+    tasks = []  # (job, chunk index, rows)
+    for job, (scenario, links) in enumerate(jobs):
+        with _job_context(job):
+            _truncation_warnings(scenario, links, settings)
+            rows = _plan_rows(scenario, settings)
+        if not links:
+            continue
+        tasks.extend((job, idx, min(rows, n - start))
+                     for idx, start in enumerate(range(0, n, rows)))
+
+    def run(task) -> np.ndarray:
+        job, idx, nrows = task
+        scenario, links = jobs[job]
+        with _job_context(job):
+            return _run_chunk(scenario, links, settings, idx, nrows)
+
+    if settings.workers == 1 or len(tasks) <= 1:
+        results = [run(task) for task in tasks]
+    else:
+        with ThreadPoolExecutor(
+                max_workers=min(settings.workers, len(tasks))) as pool:
+            results = list(pool.map(run, tasks))
+
+    fails = [np.zeros(len(links), dtype=np.int64) for _, links in jobs]
+    for (job, *_), counts in zip(tasks, results):
+        fails[job] += counts
+    return [[_estimate(f, n) for f in job_fails] for job_fails in fails]
 
 
 def simulate_outage_sweep(scenario: Scenario, links: list[LinkSpec],
@@ -394,33 +469,7 @@ def simulate_outage_sweep(scenario: Scenario, links: list[LinkSpec],
     and carries its own binomial standard error.
     """
 
-    _truncation_warnings(scenario, links, settings)
-    n = settings.realizations
-    rows = _plan_rows(scenario, settings)
-    chunks = [(idx, min(rows, n - start))
-              for idx, start in enumerate(range(0, n, rows))]
-
-    def run(chunk) -> np.ndarray:
-        idx, nrows = chunk
-        return _run_chunk(scenario, links, settings, idx, nrows)
-
-    if settings.workers == 1 or len(chunks) == 1:
-        results = [run(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=settings.workers) as pool:
-            results = list(pool.map(run, chunks))
-
-    fails = np.zeros(len(links), dtype=np.int64)
-    for r in results:
-        fails += r
-    out = []
-    for f in fails:
-        p_out = float(f) / n
-        out.append(OutageEstimate(
-            p_out=p_out,
-            std_err=math.sqrt(p_out * (1.0 - p_out) / n),
-            realizations_used=n))
-    return out
+    return simulate_outages([(scenario, links)], settings)[0]
 
 
 def simulate_outage(scenario: Scenario, link: LinkSpec,

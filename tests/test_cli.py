@@ -143,6 +143,31 @@ def test_worker_count_is_cosmetic(tmp_path):
             == (tmp_path / "b" / "tiny_outage.csv").read_bytes())
 
 
+def test_access_sweeps_are_worker_count_independent(tmp_path):
+    # Every access_probability point is its own scenario, so the batch
+    # spreads one-chunk jobs over the pool; the CSVs must not notice.
+    aloha = BASE_CONFIG.replace(
+        "[sweep:main]\naxis = tx_rx_distance\nvalues = 100, 200, 300\n"
+        "output = outage\nengines = both",
+        "[sweep:near]\naxis = access_probability\n"
+        "values = 0.005, 0.02, 0.1\noutput = outage, throughput\n"
+        "engines = both\ntx_x_m = 100\n\n"
+        "[sweep:far]\naxis = access_probability\n"
+        "values = 0.005, 0.05, 0.1\noutput = outage, throughput\n"
+        "engines = both\ntx_x_m = 250")
+    csma = aloha.replace("protocol = aloha\np = 0.01",
+                         "protocol = csma\ndelta_m = 100")
+    for name, text in (("aloha", aloha), ("csma", csma)):
+        for workers in (1, 3):
+            run_config_text(text.replace("workers = 1",
+                                         f"workers = {workers}"),
+                            out_dir=str(tmp_path / f"{name}{workers}"))
+        for kind in ("outage", "throughput"):
+            data_1 = (tmp_path / f"{name}1" / f"tiny_{kind}.csv").read_bytes()
+            data_3 = (tmp_path / f"{name}3" / f"tiny_{kind}.csv").read_bytes()
+            assert data_1.count(b"\n") == 7 and data_1 == data_3
+
+
 def test_compare_modes(tmp_path):
     run_config_text(BASE_CONFIG, out_dir=str(tmp_path))
     path = str(tmp_path / "tiny_outage.csv")
@@ -269,7 +294,33 @@ def test_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(bad)
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 3
-    assert "FitDegenerate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FitDegenerate" in err
+    assert "sweep 'main' at tx_rx_distance = 100.0" in err
+
+
+def test_monte_carlo_failure_names_its_sweep(tmp_path, capsys, monkeypatch):
+    # A numeric error raised in a pool thread, in one job of a batch of
+    # several, names the first point of that job.
+    from crossrx import montecarlo
+
+    run_chunk = montecarlo._run_chunk
+
+    def failing(scenario, links, settings, chunk_index, nrows):
+        if scenario.mac.p == 0.02:
+            raise OverflowError("injected")
+        return run_chunk(scenario, links, settings, chunk_index, nrows)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", failing)
+    text = (BASE_CONFIG.replace("workers = 1", "workers = 2")
+            .replace("engines = both", "engines = montecarlo")
+            + "\n[sweep:second]\naxis = aloha_p\nvalues = 0.01, 0.02, 0.03\n"
+            "output = reception\nengines = montecarlo\n")
+    cfg = tmp_path / "mc.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "sweep 'second' at aloha_p = 0.02: OverflowError: injected" in err
 
 
 def test_preset_emit_config(capsys):

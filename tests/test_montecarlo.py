@@ -6,9 +6,9 @@ import pytest
 from crossrx import (Aloha, Csma, LogNormal, NoMac, OutageEstimate, Position,
                      SimSettings, access_probability, analytic_view,
                      csma_intensity, reception_probability, simulate_outage,
-                     simulate_outage_sweep, simulate_throughput,
-                     thin_csma_matern2)
-from crossrx.montecarlo import _clear_of_tx, _matern2_retain
+                     simulate_outage_sweep, simulate_outages,
+                     simulate_throughput, thin_csma_matern2)
+from crossrx.montecarlo import _clear_of_tx, _matern2_retain, _plan_rows
 
 
 # modest windows keep these tests quick; the truncation advisory is
@@ -240,6 +240,55 @@ def test_csma_failure_counts_are_pinned(make_scenario, make_link):
             assert [round(est.p_out * 400) for est in sweep] == fails
 
 
+def test_batch_matches_one_sweep_per_job(make_scenario, make_link):
+    # Aloha and CSMA jobs, one-chunk and two-chunk jobs, a p = 0 job that
+    # draws no nodes and a job without links, all in one batch: each job
+    # must get the failure counts of its own simulate_outage_sweep call.
+    h_links = [make_link((100.0, 0.0), (0.0, 0.0)),
+               make_link((350.0, 0.0), (100.0, 0.0))]
+    links = h_links + [make_link((0.0, 150.0), (60.0, 0.0))]
+    jobs = [(make_scenario(Aloha(0.05)), links),
+            (make_scenario(Csma(300.0)), links),
+            (make_scenario(Aloha(0.0)), h_links),
+            (make_scenario(Aloha(0.02)), []),
+            (make_scenario(Csma(150.0)), links[1:]),
+            (make_scenario(Aloha(0.05)), links[:1])]
+    base = SimSettings(realizations=1500, window_half_length=3000.0, seed=4)
+    assert [-(-1500 // _plan_rows(scen, base)) for scen, _ in jobs] == [
+        1, 2, 1, 1, 2, 1]
+    expected = [simulate_outage_sweep(scen, job_links, base)
+                for scen, job_links in jobs]
+    assert expected[3] == []
+    assert [est.p_out for est in expected[2]] != [0.0, 0.0]
+    for workers in (1, 2, 3):
+        settings = SimSettings(realizations=1500, window_half_length=3000.0,
+                               seed=4, workers=workers)
+        assert simulate_outages(jobs, settings) == expected
+
+
+def test_batch_failure_names_its_job(make_scenario, make_link, monkeypatch):
+    from crossrx import montecarlo
+
+    run_chunk = montecarlo._run_chunk
+
+    def failing(scenario, links, settings, chunk_index, nrows):
+        if isinstance(scenario.mac, Csma) and chunk_index == 1:
+            raise OverflowError(f"chunk {chunk_index}")
+        return run_chunk(scenario, links, settings, chunk_index, nrows)
+
+    monkeypatch.setattr(montecarlo, "_run_chunk", failing)
+    link = make_link((100.0, 0.0), (0.0, 0.0))
+    jobs = [(make_scenario(Aloha(0.05)), [link]),
+            (make_scenario(Csma(300.0)), [link]),
+            (make_scenario(Csma(150.0)), [link])]
+    for workers in (1, 2, 3):
+        settings = SimSettings(realizations=1500, window_half_length=3000.0,
+                               seed=4, workers=workers)
+        with pytest.raises(OverflowError, match="chunk 1") as info:
+            simulate_outages(jobs, settings)
+        assert info.value.job == 1
+
+
 def test_workers_do_not_change_results(make_scenario, make_link):
     scen = make_scenario(Aloha(0.1))
     link = make_link((100, 0), (0, 0))
@@ -262,13 +311,19 @@ def test_seed_moves_the_estimate(make_scenario, make_link):
 def test_truncation_warnings(make_scenario, make_link):
     scen = make_scenario(Aloha(1.0))
     link = make_link((100, 0), (0, 0))
-    with pytest.warns(UserWarning, match="mean spacings"):
-        simulate_outage(scen, link,
-                        SimSettings(realizations=5, window_half_length=100.0))
-    with pytest.warns(UserWarning, match="truncation bias"):
-        simulate_outage(scen, link,
-                        SimSettings(realizations=5,
-                                    window_half_length=2000.0))
+    # Every public entry point attributes its warnings to its caller.
+    entries = (
+        lambda settings: simulate_outage(scen, link, settings),
+        lambda settings: simulate_throughput(scen, link, settings),
+        lambda settings: simulate_outage_sweep(scen, [link], settings),
+        lambda settings: simulate_outages([(scen, [link])], settings))
+    for entry in entries:
+        with pytest.warns(UserWarning, match="mean spacings") as record:
+            entry(SimSettings(realizations=5, window_half_length=100.0))
+        assert record[0].filename == __file__
+        with pytest.warns(UserWarning, match="truncation bias") as record:
+            entry(SimSettings(realizations=5, window_half_length=2000.0))
+        assert record[0].filename == __file__
 
 
 def test_simulate_throughput_identity(make_scenario, make_link):
