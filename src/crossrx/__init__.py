@@ -14,11 +14,10 @@ from .model import (Aloha, Csma, Erlang, Exponential, LinkSpec, LogNormal,
                     ValidationReport, distance, swap_roads, validate)
 from .montecarlo import (OutageEstimate, SimSettings, simulate_outage,
                          simulate_outage_sweep, simulate_outages,
-                         simulate_throughput, thin_csma_matern2)
+                         simulate_throughput)
 from .numerics import (NonConvergence, OrderTooHigh, PoleError,
-                       QuadratureSettings, ToleranceNotMet, derivative_n,
-                       gamma_fn, hyp2f1_regularized, integrate_line,
-                       pochhammer)
+                       ToleranceNotMet, derivative_n, gamma_fn,
+                       hyp2f1_regularized, integrate_line, pochhammer)
 from .propagation import (DegenerateGeometry, FadingLT, FitDegenerate,
                           UnsupportedDistribution, erlang_fit, fading_ccdf,
                           fading_lt, path_loss, sample_fading_array)

@@ -55,7 +55,7 @@ from .model import (EUCLIDEAN, MANHATTAN, Aloha, Csma, Erlang, LinkSpec,
                     LogNormal, NoMac, Scenario)
 # Test oracles only; perfbench's tracer patches them by name here.
 from .numerics import derivative_n, hyp2f1_regularized  # noqa: F401
-from .numerics import QuadratureSettings, integrate_line, pochhammer
+from .numerics import integrate_line, pochhammer
 from .propagation import erlang_fit, fading_lt, path_loss
 
 
@@ -224,8 +224,7 @@ def _los_exponent(p: float, lam: float, amplitude: float, theta: float,
     return exponent
 
 
-def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec,
-                         settings: QuadratureSettings | None = None):
+def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec):
     """s^m G^(m)(s) by one adaptive quadrature per order m.
 
     G         = integral of lambda_mac(z) (1 - L_S(s g(z))) dz,
@@ -292,9 +291,8 @@ def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec,
 
         reach = (s * theta * a_amp) ** (1.0 / alpha) or 1.0
         value, _err = integrate_line(
-            lambda u: reach * integrand(center + reach * u), "full",
-            breakpoints=[(c - center) / reach for c in cuts] + [-1.0, 1.0],
-            settings=settings)
+            lambda u: reach * integrand(center + reach * u),
+            breakpoints=[(c - center) / reach for c in cuts] + [-1.0, 1.0])
         return value
 
     def exponent(s: float, n: int) -> list[float]:
@@ -317,8 +315,7 @@ def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec,
 
 
 def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
-                            s: float,
-                            settings: QuadratureSettings | None = None) -> float:
+                            s: float) -> float:
     """L_{I_R}(s) by direct quadrature of the intensity-weighted exponent.
 
     exp(-integral of lambda_mac(z) (1 - L_S(s l(z, rx))) dz) over the
@@ -333,7 +330,7 @@ def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
     mac = scenario.mac
     if isinstance(mac, NoMac) or (isinstance(mac, Aloha) and mac.p == 0.0):
         return 1.0
-    exponent = _quadrature_exponent(road, scenario, link, settings)
+    exponent = _quadrature_exponent(road, scenario, link)
     return math.exp(-exponent(s, 0)[0])
 
 

@@ -83,8 +83,8 @@ _SECTION_KEYS = {
     "output": ("prefix",),
 }
 
-_AXES = ("tx_rx_distance", "rx_to_intersection_d", "access_probability",
-         "aloha_p", "csma_delta")
+# Each axis sweeps one sweep key, which is also its CSV column; the keys
+# of rx_to_intersection_d, aloha_p and csma_delta are overrides too.
 _AXIS_COLUMN = {
     "tx_rx_distance": "distance_m",
     "rx_to_intersection_d": "d_m",
@@ -92,8 +92,19 @@ _AXIS_COLUMN = {
     "aloha_p": "p",
     "csma_delta": "delta_m",
 }
-_OVERRIDE_KEYS = ("d_m", "p", "delta_m", "tx_x_m", "tx_y_m",
-                  "rx_x_m", "rx_y_m")
+_OVERRIDE_KEYS = ("d_m", "p", "delta_m", "tx_x_m", "tx_y_m", "rx_x_m")
+# What each sweep key sets (see _apply). A sweep's axis and overrides
+# must set different things, or one of them would be silently lost.
+_SETS = {
+    "distance_m": ("tx.x", "tx.y"),
+    "d_m": ("rx.x", "rx.y"),
+    "p_a": ("mac",),
+    "p": ("mac",),
+    "delta_m": ("mac",),
+    "tx_x_m": ("tx.x",),
+    "tx_y_m": ("tx.y",),
+    "rx_x_m": ("rx.x",),
+}
 _SWEEP_FIXED_KEYS = ("axis", "values", "output", "engines")
 _OUTPUT_KINDS = ("outage", "reception", "throughput")
 _ENGINES = ("analytic", "montecarlo", "both")
@@ -251,9 +262,9 @@ def _parse_sweep(cp, section) -> SweepSpec:
     allowed = _SWEEP_FIXED_KEYS + _OVERRIDE_KEYS
     _check_keys(cp, section, allowed)
     axis = _value(cp, section, "axis", str).lower()
-    if axis not in _AXES:
+    if axis not in _AXIS_COLUMN:
         raise SchemaError(f"[{section}] unknown axis {axis!r}"
-                          + _suggest(axis, _AXES))
+                          + _suggest(axis, _AXIS_COLUMN))
     values = _parse_values(_value(cp, section, "values", str))
     outputs = tuple(
         part.strip().lower()
@@ -269,6 +280,14 @@ def _parse_sweep(cp, section) -> SweepSpec:
     overrides = tuple(
         (key, _value(cp, section, key, float))
         for key in cp.options(section) if key in _OVERRIDE_KEYS)
+    owner = {}
+    for who, key in ((f"axis {axis}", _AXIS_COLUMN[axis]),
+                     *((f"override {k}", k) for k, _ in overrides)):
+        for target in _SETS[key]:
+            if target in owner:
+                raise SchemaError(f"[{section}] {owner[target]} and {who} "
+                                  f"both set {target}")
+            owner[target] = who
     return SweepSpec(name=name, axis=axis, values=values, outputs=outputs,
                      engines=engines, overrides=overrides)
 
@@ -363,66 +382,53 @@ def _delta_for_access(p_a: float, tx: model.Position,
         1e-9, hi, xtol=1e-12, rtol=1e-14)
 
 
-def _apply_override(scenario, link, key, value):
-    if key == "d_m":
-        link = dataclasses.replace(link, rx=model.Position(value, 0.0))
-    elif key == "tx_x_m":
-        link = dataclasses.replace(
-            link, tx=model.Position(value, link.tx.y))
-    elif key == "tx_y_m":
-        link = dataclasses.replace(
-            link, tx=model.Position(link.tx.x, value))
-    elif key == "rx_x_m":
-        link = dataclasses.replace(
-            link, rx=model.Position(value, link.rx.y))
-    elif key == "rx_y_m":
-        link = dataclasses.replace(
-            link, rx=model.Position(link.rx.x, value))
-    elif key == "p":
-        if not isinstance(scenario.mac, model.Aloha):
-            raise SchemaError("override p requires [mac] protocol aloha")
-        scenario = dataclasses.replace(scenario, mac=model.Aloha(p=value))
-    elif key == "delta_m":
-        if not isinstance(scenario.mac, model.Csma):
-            raise SchemaError("override delta_m requires [mac] protocol csma")
-        scenario = dataclasses.replace(scenario, mac=model.Csma(delta=value))
-    return scenario, link
-
-
-def _apply_axis(scenario, link, axis, value):
-    if axis == "tx_rx_distance":
-        link = dataclasses.replace(
+def _apply(scenario, link, key, value):
+    """Set sweep key ``key`` (an override, or the column of the axis) to
+    ``value``; ``_SETS`` lists what each key sets."""
+    if key == "distance_m":
+        return scenario, dataclasses.replace(
             link, tx=model.Position(link.rx.x + value, 0.0))
-    elif axis == "rx_to_intersection_d":
-        link = dataclasses.replace(link, rx=model.Position(value, 0.0))
-    elif axis == "aloha_p":
-        if not isinstance(scenario.mac, model.Aloha):
-            raise SchemaError("axis aloha_p requires [mac] protocol aloha")
-        scenario = dataclasses.replace(scenario, mac=model.Aloha(p=value))
-    elif axis == "csma_delta":
-        if not isinstance(scenario.mac, model.Csma):
-            raise SchemaError("axis csma_delta requires [mac] protocol csma")
-        scenario = dataclasses.replace(scenario, mac=model.Csma(delta=value))
-    elif axis == "access_probability":
-        if isinstance(scenario.mac, model.Aloha):
+    if key == "d_m":
+        return scenario, dataclasses.replace(
+            link, rx=model.Position(value, 0.0))
+    if key == "tx_x_m":
+        return scenario, dataclasses.replace(
+            link, tx=model.Position(value, link.tx.y))
+    if key == "tx_y_m":
+        return scenario, dataclasses.replace(
+            link, tx=model.Position(link.tx.x, value))
+    if key == "rx_x_m":
+        return scenario, dataclasses.replace(
+            link, rx=model.Position(value, link.rx.y))
+    protocol = scenario.mac
+    if key == "p_a":
+        if isinstance(protocol, model.Aloha):
             if not 0.0 < value <= 1.0:
                 raise SchemaError(f"access_probability {value} out of (0, 1]")
-            scenario = dataclasses.replace(scenario, mac=model.Aloha(p=value))
-        elif isinstance(scenario.mac, model.Csma):
-            delta = _delta_for_access(value, link.tx, scenario.roads)
-            scenario = dataclasses.replace(scenario, mac=model.Csma(delta))
+            protocol = model.Aloha(p=value)
+        elif isinstance(protocol, model.Csma):
+            protocol = model.Csma(
+                _delta_for_access(value, link.tx, scenario.roads))
         else:
             raise SchemaError("axis access_probability requires aloha or csma")
-    return scenario, link
+    elif key == "p":
+        if not isinstance(protocol, model.Aloha):
+            raise SchemaError("sweep key p requires [mac] protocol aloha")
+        protocol = model.Aloha(p=value)
+    else:
+        if not isinstance(protocol, model.Csma):
+            raise SchemaError("sweep key delta_m requires [mac] protocol csma")
+        protocol = model.Csma(delta=value)
+    return dataclasses.replace(scenario, mac=protocol), link
 
 
 def _sweep_points(plan: RunPlan, sweep: SweepSpec):
     points = []
     for value in sweep.values:
         scenario, link = plan.scenario, plan.link
-        for key, override in sweep.overrides:
-            scenario, link = _apply_override(scenario, link, key, override)
-        scenario, link = _apply_axis(scenario, link, sweep.axis, value)
+        for key, override in (*sweep.overrides,
+                              (_AXIS_COLUMN[sweep.axis], value)):
+            scenario, link = _apply(scenario, link, key, override)
         report = model.validate(scenario, link)
         if not report.ok:
             raise SchemaError(
@@ -507,39 +513,50 @@ def _monte_carlo(plan: RunPlan, swept) -> list[list]:
     return estimates
 
 
+def _header(sweep: SweepSpec, out: str) -> list[str]:
+    """CSV columns of output kind ``out`` for ``sweep``."""
+    header = [_AXIS_COLUMN[sweep.axis], *(key for key, _ in sweep.overrides)]
+    if sweep.engines in ("analytic", "both"):
+        header.append(f"{out}_analytic")
+    if sweep.engines in ("montecarlo", "both"):
+        header.extend((f"{out}_mc", "mc_stderr"))
+    return header
+
+
+def _cell(out: str, outage: float, reception: float, p_access: float,
+          rate: float) -> float:
+    """The ``out`` cell of a point with this outage and reception; the
+    Monte Carlo error cell passes its standard error as both."""
+    if out == "outage":
+        return outage
+    if out == "reception":
+        return reception
+    return p_access * reception * rate
+
+
 def _sweep_rows(plan: RunPlan, sweep: SweepSpec, points, access,
                 reception_a, estimates):
-    """Rows for one sweep section, keyed by output kind."""
+    """Rows for one sweep section, keyed by output kind; each row holds
+    the values of ``_header(sweep, out)`` in its order."""
     want_analytic = sweep.engines in ("analytic", "both")
     want_mc = sweep.engines in ("montecarlo", "both")
     rate = math.log2(1.0 + plan.link.beta)
+    pinned = [override for _, override in sweep.overrides]
     rows = {out: [] for out in sweep.outputs}
     for idx, (value, _, _) in enumerate(points):
-        base = {_AXIS_COLUMN[sweep.axis]: value}
-        for key, override in sweep.overrides:
-            base[key] = override
         p_access = access[idx]
         for out in sweep.outputs:
-            row = dict(base)
+            row = [value, *pinned]
             if want_analytic:
                 reception = reception_a[idx]
-                if out == "outage":
-                    row[f"{out}_analytic"] = 1.0 - reception
-                elif out == "reception":
-                    row[f"{out}_analytic"] = reception
-                else:
-                    row[f"{out}_analytic"] = p_access * reception * rate
+                row.append(_cell(out, 1.0 - reception, reception, p_access,
+                                 rate))
             if want_mc:
                 est = estimates[idx]
-                if out == "outage":
-                    row[f"{out}_mc"] = est.p_out
-                    row["mc_stderr"] = est.std_err
-                elif out == "reception":
-                    row[f"{out}_mc"] = 1.0 - est.p_out
-                    row["mc_stderr"] = est.std_err
-                else:
-                    row[f"{out}_mc"] = p_access * (1.0 - est.p_out) * rate
-                    row["mc_stderr"] = p_access * est.std_err * rate
+                row.append(_cell(out, est.p_out, 1.0 - est.p_out, p_access,
+                                 rate))
+                row.append(_cell(out, est.std_err, est.std_err, p_access,
+                                 rate))
             rows[out].append(row)
     return rows
 
@@ -570,20 +587,16 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
         raise ConfigParseError(str(exc)) from exc
     plan = _parse_config(cp)
 
-    # Sweeps sharing an output kind land in one CSV, so their layouts
+    # Sweeps sharing an output kind land in one CSV, so their columns
     # must agree exactly.
-    by_output: dict[str, list] = {}
-    layout: dict[str, tuple] = {}
+    headers: dict[str, list[str]] = {}
     for sweep in plan.sweeps:
-        shape = (sweep.axis, tuple(key for key, _ in sweep.overrides),
-                 sweep.engines)
         for out in sweep.outputs:
-            if out in layout and layout[out] != shape:
+            header = _header(sweep, out)
+            if headers.setdefault(out, header) != header:
                 raise SchemaError(
                     f"sweep {sweep.name!r} output {out!r} does not match the "
                     "axis/override/engine layout of an earlier sweep")
-            layout[out] = shape
-            by_output.setdefault(out, [])
 
     # Points are built once (access_probability sweeps solve delta per
     # point); the analytic engine runs first, so that its failures show
@@ -592,39 +605,32 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
     evaluated = [_evaluate_points(sweep, points) for sweep, points in swept]
     estimates = _monte_carlo(plan, swept)
     summary = {"files": [], "sweeps": []}
+    by_output = {out: [] for out in headers}
     for (sweep, points), (access, reception_a), sweep_estimates in zip(
             swept, evaluated, estimates):
         rows = _sweep_rows(plan, sweep, points, access, reception_a,
                            sweep_estimates)
-        worst = 0.0
-        stderr = 0.0
-        count = 0
+        cells = [row for out in sweep.outputs for row in rows[out]]
         for out in sweep.outputs:
             by_output[out].extend(rows[out])
-            for row in rows[out]:
-                count += 1
-                if f"{out}_analytic" in row and f"{out}_mc" in row:
-                    worst = max(worst, abs(row[f"{out}_analytic"]
-                                           - row[f"{out}_mc"]))
-                stderr = max(stderr, row.get("mc_stderr", 0.0))
+        # A row ends in its value cells: [analytic], [mc, mc_stderr].
+        worst = stderr = 0.0
+        if sweep.engines == "both":
+            worst = max(abs(row[-3] - row[-2]) for row in cells)
+        if sweep.engines != "analytic":
+            stderr = max(row[-1] for row in cells)
         summary["sweeps"].append({
             "name": sweep.name, "points": len(sweep.values),
-            "rows": count, "max_abs_delta": worst, "max_stderr": stderr})
+            "rows": len(cells), "max_abs_delta": worst,
+            "max_stderr": stderr})
 
     os.makedirs(out_dir, exist_ok=True)
     for out, rows in by_output.items():
-        axis, override_keys, engines = layout[out]
-        header = [_AXIS_COLUMN[axis], *override_keys]
-        if engines in ("analytic", "both"):
-            header.append(f"{out}_analytic")
-        if engines in ("montecarlo", "both"):
-            header.extend((f"{out}_mc", "mc_stderr"))
         path_out = os.path.join(out_dir, f"{plan.prefix}_{out}.csv")
         with open(path_out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(row[col]) for col in header])
+            writer.writerow(headers[out])
+            writer.writerows([_fmt(x) for x in row] for row in rows)
         summary["files"].append(path_out)
     return summary
 

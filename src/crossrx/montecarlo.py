@@ -91,36 +91,6 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
         key=[seed & _MASK64, chunk_index]))
 
 
-def thin_csma_matern2(points_h, points_v, tx: Position, delta: float,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Matern type II thinning of both roads, conditioned on tx active.
-
-    Every node draws a uniform mark (H road first, then V) and survives
-    iff its mark is the strict minimum within Euclidean distance delta,
-    taking competitors from both roads into account. The tagged
-    transmitter behaves as a mark-0 node: everything within delta of it
-    is removed, and tx itself is not part of the returned processes.
-    """
-
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    ph = np.asarray(points_h, dtype=float).reshape(1, -1)
-    pv = np.asarray(points_v, dtype=float).reshape(1, -1)
-    marks_h = rng.random(ph.shape)
-    marks_v = rng.random(pv.shape)
-    extent = max(
-        float(np.abs(ph).max()) if ph.size else 0.0,
-        float(np.abs(pv).max()) if pv.size else 0.0,
-        abs(tx.x), abs(tx.y), delta)
-    keep_h, keep_v = _matern2_retain(
-        ph, np.ones(ph.shape, bool), marks_h,
-        pv, np.ones(pv.shape, bool), marks_v,
-        delta, bound=extent + 2.0)
-    keep_h &= _clear_of_tx("h", ph, tx, delta)
-    keep_v &= _clear_of_tx("v", pv, tx, delta)
-    return ph[0][keep_h[0]], pv[0][keep_v[0]]
-
-
 # --- Matern II kernel --------------------------------------------------------
 #
 # Batched over realizations (rows), and run once per chunk: retention

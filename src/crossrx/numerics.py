@@ -1,9 +1,9 @@
 """Numeric kernels shared by the analytic pipeline and its tests.
 
 Scope is deliberately narrow: the gamma function, Pochhammer symbols, the
-regularized Gauss hypergeometric for real z <= 0, adaptive line integrals
-over (half-)infinite domains, and Richardson-extrapolated derivatives up
-to order 4. The pipeline itself uses only the Pochhammer symbols and the
+regularized Gauss hypergeometric for real z <= 0, adaptive integrals
+over the full line, and Richardson-extrapolated derivatives up to order
+4. The pipeline itself uses only the Pochhammer symbols and the
 line integrals: its derivatives are exact, so ``derivative_n`` (with its
 ``OrderTooHigh`` cap) and ``hyp2f1_regularized`` serve as test oracles
 only. Everything is deterministic, so results are bit-reproducible
@@ -19,7 +19,6 @@ schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import scipy.integrate
@@ -48,19 +47,6 @@ class ToleranceNotMet(ArithmeticError):
         super().__init__(message)
         self.estimate = estimate
         self.error = error
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
 
 
 def gamma_fn(x: float) -> float:
@@ -132,15 +118,18 @@ def hyp2f1_regularized(a: float, b: float, c: float, z: float) -> float:
     return _hyp2f1_reg_series(a, b, c, z)
 
 
+# Quadrature tolerances and the subdivision budget per piece.
+_REL_TOL = 1e-9
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 200
+
+
 def integrate_line(
     f: Callable[[float], float],
-    domain: str = "full",
     *,
-    start: float = 0.0,
     breakpoints: Sequence[float] = (),
-    settings: QuadratureSettings | None = None,
 ) -> tuple[float, float]:
-    """Integrate f over the full line or the half line [start, inf).
+    """Integrate f over the full line.
 
     Adaptive QUADPACK quadrature; infinite limits are handled by the
     library's internal compactifying change of variable. ``breakpoints``
@@ -149,14 +138,8 @@ def integrate_line(
     stall hunting for the kink. Returns (value, error estimate).
     """
 
-    if settings is None:
-        settings = QuadratureSettings()
-    if domain not in ("full", "half"):
-        raise ValueError(f"domain must be 'full' or 'half', got {domain!r}")
-
-    lo = -math.inf if domain == "full" else float(start)
-    cuts = sorted({float(b) for b in breakpoints if math.isfinite(b) and b > lo})
-    bounds = [lo, *cuts, math.inf]
+    cuts = sorted({float(b) for b in breakpoints if math.isfinite(b)})
+    bounds = [-math.inf, *cuts, math.inf]
 
     total = 0.0
     err = 0.0
@@ -164,9 +147,9 @@ def integrate_line(
     for a, b in zip(bounds[:-1], bounds[1:]):
         res = scipy.integrate.quad(
             f, a, b,
-            epsabs=settings.abs_tol,
-            epsrel=settings.rel_tol,
-            limit=settings.max_subdivisions,
+            epsabs=_ABS_TOL,
+            epsrel=_REL_TOL,
+            limit=_MAX_SUBDIVISIONS,
             full_output=1,
         )
         total += res[0]

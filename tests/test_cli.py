@@ -235,10 +235,34 @@ def test_compare_across_engines(tmp_path):
     (lambda t: t.replace("family = exponential\ntheta = 1\n\n[fading_h]",
                          "family = exponential\nsigma_db = 3\n\n[fading_h]"),
      "exponential takes only theta"),
+    # The receiver is on the H road, so rx_y_m is no sweep key.
+    (lambda t: t + "rx_y_m = 5\n",
+     "unknown key 'rx_y_m' in \\[sweep:main\\]; did you mean 'tx_y_m'"),
+    # An axis and an override, or two overrides, that set the same thing.
+    (lambda t: t.replace("axis = tx_rx_distance",
+                         "axis = rx_to_intersection_d") + "d_m = 50\n",
+     "axis rx_to_intersection_d and override d_m both set rx.x"),
+    (lambda t: t + "tx_y_m = 30\n",
+     "axis tx_rx_distance and override tx_y_m both set tx.y"),
+    (lambda t: t.replace("axis = tx_rx_distance\nvalues = 100, 200, 300",
+                         "axis = aloha_p\nvalues = 0.01, 0.02") + "p = 0.1\n",
+     "axis aloha_p and override p both set mac"),
+    (lambda t: t.replace("axis = tx_rx_distance\nvalues = 100, 200, 300",
+                         "axis = access_probability\nvalues = 0.01, 0.02")
+     + "p = 0.1\n",
+     "axis access_probability and override p both set mac"),
+    (lambda t: t + "d_m = 50\nrx_x_m = 20\n",
+     "override d_m and override rx_x_m both set rx.x"),
 ])
-def test_schema_errors(mutate, match):
+def test_schema_errors(mutate, match, tmp_path, capsys):
+    text = mutate(BASE_CONFIG)
     with pytest.raises(SchemaError, match=match):
-        run_config_text(mutate(BASE_CONFIG), out_dir="/tmp")
+        run_config_text(text, out_dir=str(tmp_path))
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert re.search(match, capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_delta_for_access_roundtrip():
@@ -271,6 +295,42 @@ def test_access_probability_axis(tmp_path):
         reception = 1.0 - float(row_o["outage_analytic"])
         assert np.isclose(float(row_t["throughput_analytic"]),
                           p_a * reception * rate, rtol=1e-9)
+
+
+def test_output_kinds(tmp_path):
+    # Both engines and all three kinds at once: the kinds are one rule
+    # applied to (outage, reception), so their cells relate exactly.
+    text = BASE_CONFIG.replace(
+        "output = outage\nengines = both",
+        "output = outage, reception, throughput\nengines = both\n"
+        "rx_x_m = 20")
+    run_config_text(text, out_dir=str(tmp_path))
+    csvs = {kind: read_rows(tmp_path / f"tiny_{kind}.csv")
+            for kind in ("outage", "reception", "throughput")}
+    for kind, (fields, rows) in csvs.items():
+        assert fields == ["distance_m", "rx_x_m", f"{kind}_analytic",
+                          f"{kind}_mc", "mc_stderr"]
+        assert [float(r["distance_m"]) for r in rows] == [100.0, 200.0,
+                                                          300.0]
+        assert all(float(r["rx_x_m"]) == 20.0 for r in rows)
+    plan = parse(text)
+    p_a = plan.scenario.mac.p
+    rate = math.log2(1.0 + plan.link.beta)
+    for outage, reception, tput in zip(*(csvs[kind][1] for kind in csvs)):
+        link = plan.link.__class__(
+            tx=Position(20.0 + float(outage["distance_m"]), 0.0),
+            rx=Position(20.0, 0.0), power_w=plan.link.power_w,
+            noise_w=plan.link.noise_w, beta=plan.link.beta)
+        expected = reception_probability(plan.scenario, link)
+        assert float(reception["reception_analytic"]) == expected
+        assert float(outage["outage_analytic"]) == 1.0 - expected
+        assert float(tput["throughput_analytic"]) == p_a * expected * rate
+        reception_mc = float(reception["reception_mc"])
+        assert reception_mc == 1.0 - float(outage["outage_mc"])
+        assert float(tput["throughput_mc"]) == p_a * reception_mc * rate
+        assert reception["mc_stderr"] == outage["mc_stderr"]
+        assert (float(tput["mc_stderr"])
+                == p_a * float(outage["mc_stderr"]) * rate)
 
 
 def test_fit_erlang_subcommand(capsys, make_scenario):

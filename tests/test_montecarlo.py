@@ -7,7 +7,7 @@ from crossrx import (Aloha, Csma, LogNormal, NoMac, OutageEstimate, Position,
                      SimSettings, access_probability, analytic_view,
                      csma_intensity, reception_probability, simulate_outage,
                      simulate_outage_sweep, simulate_outages,
-                     simulate_throughput, thin_csma_matern2)
+                     simulate_throughput)
 from crossrx.montecarlo import _clear_of_tx, _matern2_retain, _plan_rows
 
 
@@ -34,6 +34,24 @@ def test_sim_settings_validation():
         SimSettings(realizations=10, window_half_length=0.0)
     with pytest.raises(ValueError):
         SimSettings(realizations=10, workers=0)
+
+
+def thin_csma(ph, pv, tx, delta, rng):
+    """Matern II retention of one realization, conditioned on tx active,
+    through the engine's kernel: marks are drawn from ``rng`` (H road,
+    then V, shape (1, n)), and tx kills everything within delta of it."""
+    ph, pv = ph.reshape(1, -1), pv.reshape(1, -1)
+    marks_h = rng.random(ph.shape)
+    marks_v = rng.random(pv.shape)
+    extent = max(float(np.abs(ph).max()) if ph.size else 0.0,
+                 float(np.abs(pv).max()) if pv.size else 0.0,
+                 abs(tx.x), abs(tx.y), delta)
+    keep_h, keep_v = _matern2_retain(
+        ph, np.ones(ph.shape, bool), marks_h,
+        pv, np.ones(pv.shape, bool), marks_v, delta, bound=extent + 2.0)
+    keep_h &= _clear_of_tx("h", ph, tx, delta)
+    keep_v &= _clear_of_tx("v", pv, tx, delta)
+    return ph[0][keep_h[0]], pv[0][keep_v[0]]
 
 
 def brute_matern(ph, pv, marks_h, marks_v, tx, delta):
@@ -69,7 +87,7 @@ def test_thin_csma_matches_brute_force(tx):
         rng_pts = philox(7, t)
         ph = road_points(lam, window, rng_pts)
         pv = road_points(lam, window, rng_pts)
-        got_h, got_v = thin_csma_matern2(ph, pv, tx, delta, philox(99, t))
+        got_h, got_v = thin_csma(ph, pv, tx, delta, philox(99, t))
         # identical stream, identical draw order: marks H first, then V
         rng_ref = philox(99, t)
         marks_h = rng_ref.random((1, ph.size))[0]
@@ -117,12 +135,6 @@ def test_batched_retention_matches_brute_force(delta):
             np.testing.assert_array_equal(pos_v[r][got_v[r]], exp_v)
 
 
-def test_thin_csma_validates_delta():
-    with pytest.raises(ValueError):
-        thin_csma_matern2(np.array([1.0]), np.array([]), Position(0, 0),
-                          0.0, philox(1, 0))
-
-
 def test_thin_csma_retained_density(make_scenario):
     # Far from tx and the intersection the retained process has intensity
     # p_A * lambda with p_A = (1 - e^-(2 delta lambda)) / (2 delta lambda).
@@ -138,7 +150,7 @@ def test_thin_csma_retained_density(make_scenario):
         rng = philox(13, t)
         ph = road_points(lam, window, rng)
         pv = road_points(lam, window, rng)
-        kept_h, _ = thin_csma_matern2(ph, pv, tx, delta, philox(17, t))
+        kept_h, _ = thin_csma(ph, pv, tx, delta, philox(17, t))
         assert (kept_h ** 2 > delta ** 2).all()  # tx clears its disc
         band = (np.abs(kept_h) >= 2000.0) & (np.abs(kept_h) <= 9000.0)
         count += int(band.sum())
