@@ -10,13 +10,16 @@ included), and counts SINR failures.
 Reproducibility contract: a run is a pure function of (scenario, links,
 settings). Realizations are processed in fixed-size chunks; chunk i draws
 everything it needs from a counter-based stream keyed (seed, i), and the
-chunk layout depends only on scenario and settings. ``simulate_outages``
-takes a batch of (scenario, links) jobs and evaluates every chunk of
-every job on one pool of ``workers`` threads, so a batch of one-chunk
-jobs runs in parallel too. Threads only decide who evaluates which
-chunk, and each job's failure counts are integer sums over its chunks,
-so any worker count and any batch composition produce bit-identical
-results.
+chunk layout depends only on scenario and settings. Under CSMA every
+node is drawn at its road's density, so neither the draws nor the chunk
+layout depend on the sensing range delta: CSMA jobs whose scenarios are
+equal except for delta form one delta-group and share each chunk's
+draws. ``simulate_outages`` takes a batch of (scenario, links) jobs and
+evaluates every chunk of every group on one pool of ``workers``
+threads, so a batch of one-chunk jobs runs in parallel too. Threads only
+decide who evaluates which chunk for which jobs, and each job's failure
+counts are integer sums over its chunks, so any worker count and any
+batch composition produce bit-identical results.
 
 Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
@@ -24,12 +27,14 @@ fading, useful fading.
 
 Per-chunk work after the draws. Aloha keeps every drawn node (its
 thinning is folded into the draw), so each receiver sums gains over the
-padded (realization x node) arrays. CSMA runs the Matern II kernel once
-for the chunk, because retention depends on the marks alone; each link
-then applies its own transmitter's kill disc to the retained nodes. The
-retained nodes are gathered into flat (realization, position, fading)
-arrays, so each receiver computes gains for those nodes only and sums
-them per realization with ``np.bincount``.
+padded (realization x node) arrays. CSMA sorts each road's nodes by
+position once per chunk, together with the min-table over their marks,
+and every delta of the group shares that. Then, per job, it runs the
+Matern II kernel once at the job's delta, because retention depends on
+the marks alone; each link then applies its own transmitter's kill disc
+to the retained nodes. The retained nodes are gathered into flat
+(realization, position, fading) arrays, so each receiver computes gains
+for those nodes only and sums them per realization with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,12 +98,14 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
 
 # --- Matern II kernel --------------------------------------------------------
 #
-# Batched over realizations (rows), and run once per chunk: retention
-# depends on the marks alone, so every link of a chunk shares it and only
-# applies its own transmitter's kill disc afterwards (_clear_of_tx).
+# Batched over realizations (rows), and run once per chunk and delta:
+# retention depends on the marks alone, so every link of a job shares it
+# and only applies its own transmitter's kill disc afterwards
+# (_clear_of_tx).
 #
-# Each road's valid nodes are sorted by position within their row and
-# packed into one flat key array, key = row * span + position, with span
+# Each road's valid nodes are sorted by position within their row, once
+# per chunk for every delta (_pack). Per delta (_retain) they get one
+# flat key array, key = row * span + position, with span = 2 * bound + 4
 # chosen so rows cannot overlap; every contention window is then a
 # contiguous slice and a sparse min-table answers "smallest mark in
 # [lo, hi)" for many nodes at once. A node is retained iff its own mark IS
@@ -143,47 +150,53 @@ def _range_min(levels: list[np.ndarray], lo: np.ndarray,
     return out
 
 
-def _matern2_retain(pos_h, valid_h, marks_h, pos_v, valid_v, marks_v,
-                    delta: float, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Matern II retention of both roads from their marks, one row per
-    realization; boolean masks shaped like the inputs.
+def _pack(pos: np.ndarray, valid: np.ndarray, marks: np.ndarray) -> dict:
+    """One road's valid nodes sorted by position within their row, as flat
+    arrays with the min-table over their marks. Nothing here depends on
+    delta, so every delta evaluated on a chunk shares one pack per road."""
+    rows, cols = pos.shape
+    # Invalid cells sort last, so each row's valid nodes are a prefix.
+    order = np.argsort(np.where(valid, pos, np.inf), axis=1)
+    counts = np.count_nonzero(valid, axis=1)
+    row = np.repeat(np.arange(rows), counts)
+    col = order[np.arange(cols) < counts[:, None]]
+    flat = row * cols + col
+    mark = marks.ravel()[flat]
+    return {"shape": pos.shape, "row": row, "col": col,
+            "z": pos.ravel()[flat], "mark": mark, "levels": [mark]}
+
+
+def _retain(h: dict, v: dict, delta: float,
+            bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Matern II retention masks of both packed roads at sensing range
+    delta, shaped like the arrays they were packed from.
 
     The tagged transmitter's kill disc is not applied here. ``bound``
-    must exceed every valid |position| by at least delta.
+    must exceed every valid |position| by at least delta: every window
+    then lies within [-bound, bound] of its row, and rows are
+    2 * bound + 4 apart, so no window reaches into another row. The
+    min-tables of the packs grow to the deepest window this delta needs.
     """
-    rows = pos_h.shape[0]
     span = 2.0 * bound + 4.0
-    row_off = np.arange(rows, dtype=np.float64) * span
+    row_off = np.arange(h["shape"][0], dtype=np.float64) * span
     delta_sq = delta * delta
-
-    def pack(pos, valid, marks):
-        # Invalid cells sort last, so each row's valid nodes are a prefix.
-        order = np.argsort(np.where(valid, pos, bound + 1.0), axis=1)
-        counts = np.count_nonzero(valid, axis=1)
-        row = np.repeat(np.arange(rows), counts)
-        col = order[np.arange(pos.shape[1]) < counts[:, None]]
-        z = pos[row, col]
-        mark = marks[row, col]
-        return {"row": row, "col": col, "z": z, "key": z + row_off[row],
-                "mark": mark, "levels": [mark]}
-
-    def window(node_row, lo_pos, hi_pos):
-        # Key bounds of [lo_pos, hi_pos] in each node's own row.
-        return (np.clip(lo_pos, -bound - 1.0, bound + 2.0) + row_off[node_row],
-                np.clip(hi_pos, -bound - 1.0, bound + 2.0) + row_off[node_row])
+    roads = []
+    for pack in (h, v):
+        off = row_off[pack["row"]]
+        roads.append((pack, pack["z"] + off, off))
 
     def window_min(target, lo_key, hi_key) -> np.ndarray:
         # Min mark on road `target` with lo_key <= key <= hi_key.
-        lo = np.searchsorted(target["key"], lo_key, side="left")
-        hi = np.searchsorted(target["key"], hi_key, side="right")
-        return _range_min(target["levels"], lo, hi)
+        pack, key, _ = target
+        lo = np.searchsorted(key, lo_key, side="left")
+        hi = np.searchsorted(key, hi_key, side="right")
+        return _range_min(pack["levels"], lo, hi)
 
-    h = pack(pos_h, valid_h, marks_h)
-    v = pack(pos_v, valid_v, marks_v)
     masks = []
-    for own, cross, pos in ((h, v, pos_h), (v, h, pos_v)):
-        z, row, mark, key = own["z"], own["row"], own["mark"], own["key"]
-        lo_key, hi_key = window(row, z - delta, z + delta)
+    for own, cross in (roads, roads[::-1]):
+        pack, key, off = own
+        z, row, mark = pack["z"], pack["row"], pack["mark"]
+        lo_key, hi_key = (z - delta) + off, (z + delta) + off
         # A node beaten by one of its nearest neighbours inside its window
         # cannot win; only the others need the window query.
         keep = np.ones(z.shape, dtype=bool)
@@ -195,10 +208,10 @@ def _matern2_retain(pos_h, valid_h, marks_h, pos_v, valid_v, marks_v,
         cross_gap = delta_sq - z * z
         near = np.flatnonzero(keep & (cross_gap >= 0.0))
         reach = np.sqrt(cross_gap[near])
-        keep[near] = mark[near] < window_min(cross,
-                                             *window(row[near], -reach, reach))
-        mask = np.zeros(pos.shape, dtype=bool)
-        mask[row[keep], own["col"][keep]] = True
+        keep[near] = mark[near] < window_min(cross, off[near] - reach,
+                                             off[near] + reach)
+        mask = np.zeros(pack["shape"], dtype=bool)
+        mask[row[keep], pack["col"][keep]] = True
         masks.append(mask)
     return masks[0], masks[1]
 
@@ -249,9 +262,26 @@ def _road_distance(road: str, positions: np.ndarray, rx: Position,
     return abs(rx.x) + np.abs(positions)
 
 
-def _run_chunk(scenario: Scenario, links: list[LinkSpec],
-               settings: SimSettings, chunk_index: int,
-               nrows: int) -> np.ndarray:
+@dataclass(frozen=True)
+class _Chunk:
+    """One chunk's draws, shared by every job of its group. ``packs`` holds
+    the Matern kernel's sorted roads (H, V) under CSMA and is None else;
+    their min-tables grow in place, so one task's thread owns a chunk."""
+    index: int
+    nrows: int
+    window: float
+    pos_h: np.ndarray
+    pos_v: np.ndarray
+    valid_h: np.ndarray
+    valid_v: np.ndarray
+    fad_h: np.ndarray
+    fad_v: np.ndarray
+    s0: np.ndarray
+    packs: tuple[dict, dict] | None
+
+
+def _draw_chunk(scenario: Scenario, settings: SimSettings, chunk_index: int,
+                nrows: int) -> _Chunk:
     rng = _stream(settings.seed, chunk_index)
     w = settings.window_half_length
     is_csma = isinstance(scenario.mac, Csma)
@@ -270,12 +300,23 @@ def _run_chunk(scenario: Scenario, links: list[LinkSpec],
     fad_h = sample_fading_array(scenario.fading_h, rng, (nrows, mh))
     fad_v = sample_fading_array(scenario.fading_v, rng, (nrows, mv))
     s0 = sample_fading_array(scenario.fading_useful, rng, (nrows,))
+    packs = ((_pack(pos_h, valid_h, marks_h), _pack(pos_v, valid_v, marks_v))
+             if is_csma else None)
+    return _Chunk(chunk_index, nrows, w, pos_h, pos_v, valid_h, valid_v,
+                  fad_h, fad_v, s0, packs)
 
+
+def _job_chunk(scenario: Scenario, links: list[LinkSpec],
+               chunk: _Chunk) -> np.ndarray:
+    """Failure counts of ``links`` on one chunk's draws."""
+    nrows, s0 = chunk.nrows, chunk.s0
+    pos_h, valid_h, fad_h = chunk.pos_h, chunk.valid_h, chunk.fad_h
+    pos_v, valid_v, fad_v = chunk.pos_v, chunk.valid_v, chunk.fad_v
+    is_csma = isinstance(scenario.mac, Csma)
     if is_csma:
         delta = scenario.mac.delta
-        keep_h, keep_v = _matern2_retain(
-            pos_h, valid_h, marks_h, pos_v, valid_v, marks_v, delta,
-            bound=w + delta + 2.0)
+        keep_h, keep_v = _retain(*chunk.packs, delta,
+                                 bound=chunk.window + delta + 2.0)
         # Retained nodes only, as flat (row, position, fading) arrays.
         retained = [(road, loss, np.nonzero(keep)[0], pos[keep], fad[keep])
                     for road, loss, pos, keep, fad in (
@@ -383,6 +424,15 @@ def _estimate(fails: int, n: int) -> OutageEstimate:
                           realizations_used=n)
 
 
+def _group_key(job: int, scenario: Scenario):
+    """Jobs with equal keys draw identical chunks. CSMA draws every node at
+    its road's density whatever delta is, so CSMA jobs equal but for
+    delta share a key; every other job is its own group."""
+    if isinstance(scenario.mac, Csma):
+        return replace(scenario, mac=None)
+    return job
+
+
 def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
                      settings: SimSettings) -> list[list[OutageEstimate]]:
     """Outage estimates for a batch of jobs, each a scenario with the
@@ -390,31 +440,52 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
 
     Each job gets exactly what ``simulate_outage_sweep`` gives it alone:
     its chunk layout, streams and failure counts do not depend on the
-    other jobs. Every chunk of every job goes, in job and chunk order,
-    to one pool of ``settings.workers`` threads; with one worker the
-    chunks run in that order in the calling thread.
+    other jobs. CSMA jobs that differ only in delta form one group, and
+    each chunk of a group is drawn once for all of its jobs. A group
+    with fewer chunks than ``settings.workers`` splits its jobs into
+    ceil(workers / chunks) contiguous slices, one task per (slice,
+    chunk), so that one-chunk groups still fill the pool. The tasks go
+    to one pool of ``settings.workers`` threads; with one worker they
+    run in the calling thread.
 
-    When chunks raise, the exception of the first failing chunk in job
-    and chunk order propagates, whatever the worker count, and its
-    ``job`` attribute holds the index of its job.
+    When chunks raise, the exception of the first failing (job, chunk)
+    in job and chunk order propagates, whatever the worker count, and
+    its ``job`` attribute holds the index of its job.
     """
 
     n = settings.realizations
-    tasks = []  # (job, chunk index, rows)
+    groups: dict = {}  # group key -> (rows per chunk, jobs in order)
     for job, (scenario, links) in enumerate(jobs):
         with _job_context(job):
             _truncation_warnings(scenario, links, settings)
             rows = _plan_rows(scenario, settings)
-        if not links:
-            continue
-        tasks.extend((job, idx, min(rows, n - start))
-                     for idx, start in enumerate(range(0, n, rows)))
+        if links:
+            key = _group_key(job, scenario)
+            groups.setdefault(key, (rows, []))[1].append(job)
 
-    def run(task) -> np.ndarray:
-        job, idx, nrows = task
-        scenario, links = jobs[job]
-        with _job_context(job):
-            return _run_chunk(scenario, links, settings, idx, nrows)
+    tasks = []  # (jobs, chunk index, rows)
+    for rows, members in groups.values():
+        chunks = [(idx, min(rows, n - start))
+                  for idx, start in enumerate(range(0, n, rows))]
+        slices = min(len(members), -(-settings.workers // len(chunks)))
+        cuts = [len(members) * i // slices for i in range(slices + 1)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            tasks.extend((members[lo:hi], idx, nrows) for idx, nrows in chunks)
+
+    def run(task) -> list:
+        # Each job's failure counts or exception, in the task's job order.
+        members, idx, nrows = task
+        try:
+            chunk = _draw_chunk(jobs[members[0]][0], settings, idx, nrows)
+        except Exception as exc:
+            return [exc] * len(members)
+        outcomes = []
+        for job in members:
+            try:
+                outcomes.append(_job_chunk(*jobs[job], chunk))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
 
     if settings.workers == 1 or len(tasks) <= 1:
         results = [run(task) for task in tasks]
@@ -424,8 +495,18 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
             results = list(pool.map(run, tasks))
 
     fails = [np.zeros(len(links), dtype=np.int64) for _, links in jobs]
-    for (job, *_), counts in zip(tasks, results):
-        fails[job] += counts
+    first = None  # (job, chunk index, exception) of the first failure
+    for (members, idx, _), outcomes in zip(tasks, results):
+        for job, outcome in zip(members, outcomes):
+            if isinstance(outcome, Exception):
+                if first is None or (job, idx) < first[:2]:
+                    first = (job, idx, outcome)
+            else:
+                fails[job] += outcome
+    if first is not None:
+        job, _, exc = first
+        exc.job = job
+        raise exc
     return [[_estimate(f, n) for f in job_fails] for job_fails in fails]
 
 

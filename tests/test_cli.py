@@ -168,6 +168,27 @@ def test_access_sweeps_are_worker_count_independent(tmp_path):
             assert data_1.count(b"\n") == 7 and data_1 == data_3
 
 
+def test_csma_delta_sweeps_are_worker_count_independent(tmp_path):
+    # The points of a csma_delta sweep differ only in delta, so they share
+    # each chunk's draws; 1000 realizations are two chunks, and three
+    # workers split the sweeps' deltas over two tasks per chunk.
+    text = BASE_CONFIG.replace("protocol = aloha\np = 0.01",
+                               "protocol = csma\ndelta_m = 100").replace(
+        "realizations = 2000", "realizations = 1000").replace(
+        "[sweep:main]\naxis = tx_rx_distance\nvalues = 100, 200, 300\n"
+        "output = outage\nengines = both",
+        "[sweep:near]\naxis = csma_delta\nvalues = 50, 300, 1000, 6000\n"
+        "output = outage\nengines = both\ntx_x_m = 100\n\n"
+        "[sweep:far]\naxis = csma_delta\nvalues = 150, 300, 2500\n"
+        "output = outage\nengines = both\ntx_x_m = 250")
+    for workers in (1, 3):
+        run_config_text(text.replace("workers = 1", f"workers = {workers}"),
+                        out_dir=str(tmp_path / f"w{workers}"))
+    data_1 = (tmp_path / "w1" / "tiny_outage.csv").read_bytes()
+    data_3 = (tmp_path / "w3" / "tiny_outage.csv").read_bytes()
+    assert data_1.count(b"\n") == 8 and data_1 == data_3
+
+
 def test_compare_modes(tmp_path):
     run_config_text(BASE_CONFIG, out_dir=str(tmp_path))
     path = str(tmp_path / "tiny_outage.csv")
@@ -364,14 +385,14 @@ def test_monte_carlo_failure_names_its_sweep(tmp_path, capsys, monkeypatch):
     # several, names the first point of that job.
     from crossrx import montecarlo
 
-    run_chunk = montecarlo._run_chunk
+    job_chunk = montecarlo._job_chunk
 
-    def failing(scenario, links, settings, chunk_index, nrows):
+    def failing(scenario, links, chunk):
         if scenario.mac.p == 0.02:
             raise OverflowError("injected")
-        return run_chunk(scenario, links, settings, chunk_index, nrows)
+        return job_chunk(scenario, links, chunk)
 
-    monkeypatch.setattr(montecarlo, "_run_chunk", failing)
+    monkeypatch.setattr(montecarlo, "_job_chunk", failing)
     text = (BASE_CONFIG.replace("workers = 1", "workers = 2")
             .replace("engines = both", "engines = montecarlo")
             + "\n[sweep:second]\naxis = aloha_p\nvalues = 0.01, 0.02, 0.03\n"

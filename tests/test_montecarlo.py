@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from crossrx import (Aloha, Csma, LogNormal, NoMac, OutageEstimate, Position,
-                     SimSettings, access_probability, analytic_view,
-                     csma_intensity, reception_probability, simulate_outage,
-                     simulate_outage_sweep, simulate_outages,
+                     RoadConfig, SimSettings, access_probability,
+                     analytic_view, csma_intensity, reception_probability,
+                     simulate_outage, simulate_outage_sweep, simulate_outages,
                      simulate_throughput)
-from crossrx.montecarlo import _clear_of_tx, _matern2_retain, _plan_rows
+from crossrx.montecarlo import _clear_of_tx, _pack, _plan_rows, _retain
 
 
 # modest windows keep these tests quick; the truncation advisory is
@@ -46,9 +46,9 @@ def thin_csma(ph, pv, tx, delta, rng):
     extent = max(float(np.abs(ph).max()) if ph.size else 0.0,
                  float(np.abs(pv).max()) if pv.size else 0.0,
                  abs(tx.x), abs(tx.y), delta)
-    keep_h, keep_v = _matern2_retain(
-        ph, np.ones(ph.shape, bool), marks_h,
-        pv, np.ones(pv.shape, bool), marks_v, delta, bound=extent + 2.0)
+    keep_h, keep_v = _retain(_pack(ph, np.ones(ph.shape, bool), marks_h),
+                             _pack(pv, np.ones(pv.shape, bool), marks_v),
+                             delta, bound=extent + 2.0)
     keep_h &= _clear_of_tx("h", ph, tx, delta)
     keep_v &= _clear_of_tx("v", pv, tx, delta)
     return ph[0][keep_h[0]], pv[0][keep_v[0]]
@@ -119,9 +119,9 @@ def test_batched_retention_matches_brute_force(delta):
     assert (np.abs(pos_h[valid_h]) <= delta).sum() > nrows
     assert (np.abs(pos_v[valid_v]) <= delta).sum() > nrows
 
-    keep_h, keep_v = _matern2_retain(pos_h, valid_h, marks_h,
-                                     pos_v, valid_v, marks_v, delta,
-                                     bound=window + delta + 2.0)
+    keep_h, keep_v = _retain(_pack(pos_h, valid_h, marks_h),
+                             _pack(pos_v, valid_v, marks_v), delta,
+                             bound=window + delta + 2.0)
     assert not (keep_h & ~valid_h).any() and not (keep_v & ~valid_v).any()
     for tx in (Position(0.0, 0.0), Position(40.0, 0.0), Position(0.0, -55.0),
                Position(70.0, 90.0)):
@@ -278,17 +278,65 @@ def test_batch_matches_one_sweep_per_job(make_scenario, make_link):
         assert simulate_outages(jobs, settings) == expected
 
 
+def test_delta_groups_match_one_sweep_per_job(make_scenario, make_link,
+                                             roads, monkeypatch):
+    # CSMA jobs equal but for delta share each chunk's draws; an Aloha job
+    # between them, a CSMA job on denser V traffic and a CSMA job without
+    # links do not join them. Every job must still get the failure counts
+    # of its own simulate_outage_sweep call, at worker counts that run the
+    # group as one task per chunk (1, 2) or split its deltas (3, 5).
+    from crossrx import montecarlo
+
+    links = [make_link((100.0, 0.0), (0.0, 0.0)),
+             make_link((0.0, 150.0), (60.0, 0.0)),
+             make_link((-80.0, 0.0), (120.0, 0.0))]
+    denser_v = RoadConfig(lambda_h=roads.lambda_h, lambda_v=2 * roads.lambda_v)
+    jobs = [(make_scenario(Csma(150.0)), links),
+            (make_scenario(Csma(300.0)), links[:2]),
+            (make_scenario(Aloha(0.05)), links),
+            (make_scenario(Csma(2000.0)), links[1:]),
+            (make_scenario(Csma(300.0), roads=denser_v), links),
+            (make_scenario(Csma(500.0)), []),
+            (make_scenario(Csma(8000.0)), links)]
+    base = SimSettings(realizations=1500, window_half_length=3000.0, seed=4)
+    assert [-(-1500 // _plan_rows(scen, base)) for scen, _ in jobs] == [
+        2, 2, 1, 2, 3, 2, 2]
+    expected = [simulate_outage_sweep(scen, job_links, base)
+                for scen, job_links in jobs]
+    # The deltas and the V density all move the estimates, so a job run
+    # with another job's delta or draws would show.
+    assert expected[0][:2] != expected[1] != expected[4][:2]
+    assert expected[0][1:] != expected[3] and expected[0] != expected[6]
+
+    draw_chunk = montecarlo._draw_chunk
+    draws = []
+
+    def counting(scenario, settings, chunk_index, nrows):
+        draws.append(chunk_index)
+        return draw_chunk(scenario, settings, chunk_index, nrows)
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
+    # Draws per worker count: the delta group's 2 chunks once per slice,
+    # plus the Aloha job's 1 and the denser-V job's 3.
+    for workers, n_draws in ((1, 6), (2, 6), (3, 8), (5, 10)):
+        draws.clear()
+        settings = SimSettings(realizations=1500, window_half_length=3000.0,
+                               seed=4, workers=workers)
+        assert simulate_outages(jobs, settings) == expected
+        assert len(draws) == n_draws
+
+
 def test_batch_failure_names_its_job(make_scenario, make_link, monkeypatch):
     from crossrx import montecarlo
 
-    run_chunk = montecarlo._run_chunk
+    job_chunk = montecarlo._job_chunk
 
-    def failing(scenario, links, settings, chunk_index, nrows):
-        if isinstance(scenario.mac, Csma) and chunk_index == 1:
-            raise OverflowError(f"chunk {chunk_index}")
-        return run_chunk(scenario, links, settings, chunk_index, nrows)
+    def failing(scenario, links, chunk):
+        if isinstance(scenario.mac, Csma) and chunk.index == 1:
+            raise OverflowError(f"chunk {chunk.index}")
+        return job_chunk(scenario, links, chunk)
 
-    monkeypatch.setattr(montecarlo, "_run_chunk", failing)
+    monkeypatch.setattr(montecarlo, "_job_chunk", failing)
     link = make_link((100.0, 0.0), (0.0, 0.0))
     jobs = [(make_scenario(Aloha(0.05)), [link]),
             (make_scenario(Csma(300.0)), [link]),
@@ -297,6 +345,34 @@ def test_batch_failure_names_its_job(make_scenario, make_link, monkeypatch):
         settings = SimSettings(realizations=1500, window_half_length=3000.0,
                                seed=4, workers=workers)
         with pytest.raises(OverflowError, match="chunk 1") as info:
+            simulate_outages(jobs, settings)
+        assert info.value.job == 1
+
+
+def test_grouped_failure_names_the_first_job(make_scenario, make_link,
+                                             monkeypatch):
+    # Jobs 1 and 2 share every chunk's draws. Job 2 fails in chunk 0 and
+    # job 1 in chunk 1: the first failing (job, chunk) is job 1's, even
+    # though job 2's failure happens in an earlier chunk.
+    from crossrx import montecarlo
+
+    job_chunk = montecarlo._job_chunk
+
+    def failing(scenario, links, chunk):
+        if (scenario.mac, chunk.index) in ((Csma(150.0), 0), (Csma(300.0), 1)):
+            raise OverflowError(
+                f"delta {scenario.mac.delta} chunk {chunk.index}")
+        return job_chunk(scenario, links, chunk)
+
+    monkeypatch.setattr(montecarlo, "_job_chunk", failing)
+    link = make_link((100.0, 0.0), (0.0, 0.0))
+    jobs = [(make_scenario(Aloha(0.05)), [link]),
+            (make_scenario(Csma(300.0)), [link]),
+            (make_scenario(Csma(150.0)), [link])]
+    for workers in (1, 2, 3):
+        settings = SimSettings(realizations=1500, window_half_length=3000.0,
+                               seed=4, workers=workers)
+        with pytest.raises(OverflowError, match="delta 300.0 chunk 1") as info:
             simulate_outages(jobs, settings)
         assert info.value.job == 1
 
