@@ -1,7 +1,8 @@
 """Reception probability and throughput for vehicular links at a
+two-road intersection.
 
-two-road intersection: analytic Laplace-transform pipeline plus a
-Monte Carlo oracle, driven by a config/preset CLI."""
+An analytic Laplace-transform pipeline plus a Monte Carlo oracle, driven
+by a config/preset CLI."""
 
 from .analytic import (EvalContext, InterferenceLT, WrongScenario,
                        analytic_view, eval_context, lt_interference_generic,

@@ -253,16 +253,13 @@ def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec):
         intensity = csma_intensity(road, scenario, link.tx)
         delta = mac.delta
         cuts.extend((-delta, delta))  # cross-road coupling edges
-        if road == "h":
-            gap = delta * delta - link.tx.y ** 2
-            if gap >= 0.0:
-                half = math.sqrt(gap)
-                cuts.extend((link.tx.x - half, link.tx.x + half))
-        else:
-            gap = delta * delta - link.tx.x ** 2
-            if gap >= 0.0:
-                half = math.sqrt(gap)
-                cuts.extend((link.tx.y - half, link.tx.y + half))
+        # The tx kill disc's chord on this road.
+        tx = link.tx
+        along, perp = (tx.x, tx.y) if road == "h" else (tx.y, tx.x)
+        gap = delta * delta - perp ** 2
+        if gap >= 0.0:
+            half = math.sqrt(gap)
+            cuts.extend((along - half, along + half))
     else:
         raise WrongScenario(f"no interferer intensity defined for {mac!r}")
 

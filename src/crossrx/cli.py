@@ -40,7 +40,7 @@ from . import analytic, mac, model, propagation
 # Re-exported: perfbench warms the surrogate fit cache through it.
 from .analytic import analytic_view  # noqa: F401
 from .montecarlo import SimSettings, simulate_outage_sweep, simulate_outages
-from .numerics import NonConvergence, PoleError, ToleranceNotMet
+from .numerics import ToleranceNotMet
 
 
 class ConfigParseError(Exception):
@@ -442,8 +442,8 @@ def _sweep_points(plan: RunPlan, sweep: SweepSpec):
 # Evaluation
 
 
-_NUMERIC_ERRORS = (ToleranceNotMet, NonConvergence, PoleError,
-                   propagation.FitDegenerate, analytic.WrongScenario,
+_NUMERIC_ERRORS = (ToleranceNotMet, propagation.FitDegenerate,
+                   analytic.WrongScenario,
                    propagation.UnsupportedDistribution,
                    propagation.DegenerateGeometry, mac.WrongMac,
                    mac.OffRoadPosition, OverflowError)

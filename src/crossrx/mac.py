@@ -95,9 +95,9 @@ def access_probability_at(scenario: Scenario, pos: Position) -> float:
 
 
 def aloha_intensity(road: str, scenario: Scenario, tx: Position) -> IntensityFn:
-    """Constant thinned intensity z -> p * lambda_R. tx is unused: Aloha
+    """Constant thinned intensity z -> p * lambda_R.
 
-    nodes do not react to each other."""
+    tx is unused: Aloha nodes do not react to each other."""
 
     if not isinstance(scenario.mac, Aloha):
         raise WrongMac(f"aloha_intensity needs an Aloha scenario, got {scenario.mac}")

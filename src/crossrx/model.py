@@ -64,10 +64,10 @@ class Aloha:
 
 @dataclass(frozen=True)
 class Csma:
-    """CSMA with sensing range ``delta``: a vehicle transmits iff its
+    """CSMA with sensing range ``delta`` (Matern type II hard core).
 
-    random backoff mark is the strict minimum among all vehicles within
-    Euclidean distance ``delta`` (Matern type II hard core).
+    A vehicle transmits iff its random backoff mark is the strict minimum
+    among all vehicles within Euclidean distance ``delta``.
     """
 
     delta: float

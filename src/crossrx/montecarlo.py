@@ -28,13 +28,14 @@ fading, useful fading.
 Per-chunk work after the draws. Aloha keeps every drawn node (its
 thinning is folded into the draw), so each receiver sums gains over the
 padded (realization x node) arrays. CSMA sorts each road's nodes by
-position once per chunk, together with the min-table over their marks,
-and every delta of the group shares that. Then, per job, it runs the
-Matern II kernel once at the job's delta, because retention depends on
-the marks alone; each link then applies its own transmitter's kill disc
-to the retained nodes. The retained nodes are gathered into flat
-(realization, position, fading) arrays, so each receiver computes gains
-for those nodes only and sums them per realization with ``np.bincount``.
+position once per chunk, and every delta of the group shares that. Then,
+per job, it runs the Matern II kernel once at the job's delta, because
+retention depends on the marks alone; the kernel returns the retained
+nodes' row-major indices, and each link then applies its own
+transmitter's kill disc to those nodes. The retained nodes are gathered
+into flat (realization, position, fading) arrays, so each receiver
+computes gains for those nodes only and sums them per realization with
+``np.bincount``.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ from .propagation import path_loss, sample_fading_array
 _MASK64 = (1 << 64) - 1
 
 # Cells-per-chunk budgets keep peak memory flat as densities change. The
-# hard-core kernel builds log-depth min tables over its arrays, hence the
-# tighter budget.
+# hard-core kernel keeps sorted copies of its arrays and per-delta work
+# arrays besides the draws, hence the tighter budget. The budgets set the
+# chunk layout, so changing one changes the Monte Carlo bits.
 _CELL_BUDGET_IID = 1 << 22
 _CELL_BUDGET_MATERN = 1 << 18
 _MAX_ROWS = 4096
@@ -107,95 +109,75 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
 # per chunk for every delta (_pack). Per delta (_retain) they get one
 # flat key array, key = row * span + position, with span = 2 * bound + 4
 # chosen so rows cannot overlap; every contention window is then a
-# contiguous slice and a sparse min-table answers "smallest mark in
-# [lo, hi)" for many nodes at once. A node is retained iff its own mark IS
-# the window minimum on its own road (the window includes the node
-# itself, which spares an exclusion pass) and strictly beats the other
-# road's window. Before the own-road query, each node is compared with
-# its _NEIGHBOUR_SCREEN nearest sorted neighbours on each side, using the
+# contiguous slice of the sorted marks, and one np.minimum.reduceat over
+# the interleaved window bounds answers "smallest mark in [lo, hi)" for
+# many nodes at once. A node is retained iff its own mark IS the window
+# minimum on its own road (the window includes the node itself, which
+# spares an exclusion pass) and strictly beats the other road's window.
+# Before the own-road query, each node is compared with its
+# _NEIGHBOUR_SCREEN nearest sorted neighbours on each side, using the
 # same key bounds as the query; a node one of them beats is out, and
 # only the rest are queried. The other road's window is the chord
 # centered on the intersection, so it is empty unless |z| <= delta, and
 # it is only queried for those nodes that already won their own road.
 # Retention is a function of marks and positions only, so the sorted
 # evaluation order does not change which fading draw belongs to which
-# node, and the masks come back in the input layout.
-
-def _grow_min_table(levels: list[np.ndarray], max_span: int) -> None:
-    """Extend the sparse min-table in place so that it answers windows of
-    up to max_span entries: level l holds min(flat[i : i + 2**l])."""
-    while (1 << len(levels)) <= max_span:
-        width = 1 << (len(levels) - 1)
-        prev = levels[-1]
-        level = prev.copy()
-        np.minimum(prev[:-width], prev[width:], out=level[:-width])
-        levels.append(level)
-
-
-def _range_min(levels: list[np.ndarray], lo: np.ndarray,
-               hi: np.ndarray) -> np.ndarray:
-    out = np.full(lo.shape, np.inf)
-    span = hi - lo
-    if not span.size:
-        return out
-    _grow_min_table(levels, int(span.max()))
-    # frexp exponent - 1 == floor(log2(span)), exact for integer spans;
-    # an empty window (span 0) gets -1.
-    lv = np.frexp(span.astype(np.float64))[1] - 1
-    for level in np.unique(lv[lv >= 0]):
-        width = 1 << int(level)
-        table = levels[int(level)]
-        sel = np.flatnonzero(lv == level)
-        out[sel] = np.minimum(table[lo[sel]], table[hi[sel] - width])
-    return out
-
+# node; the retained nodes come back as their indices into the padded
+# (realization x node) arrays, in row-major order.
 
 def _pack(pos: np.ndarray, valid: np.ndarray, marks: np.ndarray) -> dict:
     """One road's valid nodes sorted by position within their row, as flat
-    arrays with the min-table over their marks. Nothing here depends on
-    delta, so every delta evaluated on a chunk shares one pack per road."""
+    arrays: their row, their row-major index into the padded arrays
+    (``flat``), position and mark, the marks followed by a +inf sentinel.
+    Nothing here depends on delta, and nothing changes a pack after it
+    is built, so every delta evaluated on a chunk shares one per road."""
     rows, cols = pos.shape
     # Invalid cells sort last, so each row's valid nodes are a prefix.
     order = np.argsort(np.where(valid, pos, np.inf), axis=1)
     counts = np.count_nonzero(valid, axis=1)
     row = np.repeat(np.arange(rows), counts)
-    col = order[np.arange(cols) < counts[:, None]]
-    flat = row * cols + col
-    mark = marks.ravel()[flat]
-    return {"shape": pos.shape, "row": row, "col": col,
-            "z": pos.ravel()[flat], "mark": mark, "levels": [mark]}
+    flat = row * cols + order[np.arange(cols) < counts[:, None]]
+    return {"row": row, "flat": flat, "z": pos.ravel()[flat],
+            "mark": np.append(marks.ravel()[flat], np.inf)}
 
 
 def _retain(h: dict, v: dict, delta: float,
             bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Matern II retention masks of both packed roads at sensing range
-    delta, shaped like the arrays they were packed from.
+    """Matern II retained nodes of both packed roads at sensing range
+    delta, as increasing row-major indices into the padded arrays they
+    were packed from.
 
     The tagged transmitter's kill disc is not applied here. ``bound``
     must exceed every valid |position| by at least delta: every window
     then lies within [-bound, bound] of its row, and rows are
-    2 * bound + 4 apart, so no window reaches into another row. The
-    min-tables of the packs grow to the deepest window this delta needs.
+    2 * bound + 4 apart, so no window reaches into another row.
     """
     span = 2.0 * bound + 4.0
-    row_off = np.arange(h["shape"][0], dtype=np.float64) * span
     delta_sq = delta * delta
     roads = []
     for pack in (h, v):
-        off = row_off[pack["row"]]
+        off = pack["row"] * span
         roads.append((pack, pack["z"] + off, off))
 
     def window_min(target, lo_key, hi_key) -> np.ndarray:
-        # Min mark on road `target` with lo_key <= key <= hi_key.
+        # Min mark on road `target` with lo_key <= key <= hi_key, +inf if
+        # none. reduceat over the interleaved bounds (lo, hi) puts each
+        # window's min in the even slots. An odd slot reduces the gap up
+        # to the next window, or reads one mark if that window starts
+        # sooner; queries come row by row, so the gaps add up to at most
+        # one pass over the marks. The +inf sentinel keeps hi == len(key)
+        # a valid index.
         pack, key, _ = target
         lo = np.searchsorted(key, lo_key, side="left")
         hi = np.searchsorted(key, hi_key, side="right")
-        return _range_min(pack["levels"], lo, hi)
+        mins = np.minimum.reduceat(pack["mark"],
+                                   np.stack((lo, hi), axis=1).ravel())
+        return np.where(hi > lo, mins[::2], np.inf)
 
-    masks = []
+    kept = []
     for own, cross in (roads, roads[::-1]):
         pack, key, off = own
-        z, row, mark = pack["z"], pack["row"], pack["mark"]
+        z, mark = pack["z"], pack["mark"][:-1]
         lo_key, hi_key = (z - delta) + off, (z + delta) + off
         # A node beaten by one of its nearest neighbours inside its window
         # cannot win; only the others need the window query.
@@ -210,10 +192,8 @@ def _retain(h: dict, v: dict, delta: float,
         reach = np.sqrt(cross_gap[near])
         keep[near] = mark[near] < window_min(cross, off[near] - reach,
                                              off[near] + reach)
-        mask = np.zeros(pack["shape"], dtype=bool)
-        mask[row[keep], pack["col"][keep]] = True
-        masks.append(mask)
-    return masks[0], masks[1]
+        kept.append(np.sort(pack["flat"][keep]))
+    return kept[0], kept[1]
 
 
 def _clear_of_tx(road: str, pos: np.ndarray, tx: Position,
@@ -265,8 +245,7 @@ def _road_distance(road: str, positions: np.ndarray, rx: Position,
 @dataclass(frozen=True)
 class _Chunk:
     """One chunk's draws, shared by every job of its group. ``packs`` holds
-    the Matern kernel's sorted roads (H, V) under CSMA and is None else;
-    their min-tables grow in place, so one task's thread owns a chunk."""
+    the Matern kernel's sorted roads (H, V) under CSMA and is None else."""
     index: int
     nrows: int
     window: float
@@ -315,13 +294,16 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
     is_csma = isinstance(scenario.mac, Csma)
     if is_csma:
         delta = scenario.mac.delta
-        keep_h, keep_v = _retain(*chunk.packs, delta,
+        kept_h, kept_v = _retain(*chunk.packs, delta,
                                  bound=chunk.window + delta + 2.0)
-        # Retained nodes only, as flat (row, position, fading) arrays.
-        retained = [(road, loss, np.nonzero(keep)[0], pos[keep], fad[keep])
-                    for road, loss, pos, keep, fad in (
-                        ("h", scenario.loss_h, pos_h, keep_h, fad_h),
-                        ("v", scenario.loss_v, pos_v, keep_v, fad_v))]
+        # Retained nodes only, as flat (row, position, fading) arrays in
+        # row-major order, which fixes the order of each bincount sum. A
+        # road with no node in any row has width 0 and no index to divide.
+        retained = [(road, loss, kept // max(pos.shape[1], 1),
+                     pos.ravel()[kept], fad.ravel()[kept])
+                    for road, loss, pos, kept, fad in (
+                        ("h", scenario.loss_h, pos_h, kept_h, fad_h),
+                        ("v", scenario.loss_v, pos_v, kept_v, fad_v))]
         gains_cache: dict = {}
         clear_cache: dict = {}
 

@@ -36,6 +36,13 @@ def test_sim_settings_validation():
         SimSettings(realizations=10, workers=0)
 
 
+def as_mask(idx, shape):
+    """Retained row-major indices as a mask over the padded layout."""
+    mask = np.zeros(shape, dtype=bool)
+    mask.ravel()[idx] = True
+    return mask
+
+
 def thin_csma(ph, pv, tx, delta, rng):
     """Matern II retention of one realization, conditioned on tx active,
     through the engine's kernel: marks are drawn from ``rng`` (H road,
@@ -46,11 +53,11 @@ def thin_csma(ph, pv, tx, delta, rng):
     extent = max(float(np.abs(ph).max()) if ph.size else 0.0,
                  float(np.abs(pv).max()) if pv.size else 0.0,
                  abs(tx.x), abs(tx.y), delta)
-    keep_h, keep_v = _retain(_pack(ph, np.ones(ph.shape, bool), marks_h),
+    kept_h, kept_v = _retain(_pack(ph, np.ones(ph.shape, bool), marks_h),
                              _pack(pv, np.ones(pv.shape, bool), marks_v),
                              delta, bound=extent + 2.0)
-    keep_h &= _clear_of_tx("h", ph, tx, delta)
-    keep_v &= _clear_of_tx("v", pv, tx, delta)
+    keep_h = as_mask(kept_h, ph.shape) & _clear_of_tx("h", ph, tx, delta)
+    keep_v = as_mask(kept_v, pv.shape) & _clear_of_tx("v", pv, tx, delta)
     return ph[0][keep_h[0]], pv[0][keep_v[0]]
 
 
@@ -103,7 +110,8 @@ def test_batched_retention_matches_brute_force(delta):
     # counts, so every row but the longest ends in invalid cells, and the
     # window is only a few delta wide, so many nodes on both roads see the
     # other road. Invalid cells get mark 0, which would kill their
-    # neighbours if the kernel looked at them.
+    # neighbours if the kernel looked at them. The same H road is then
+    # run again against a V road with no node in any row.
     lam, window, nrows = 0.05, 300.0, 40
     rng = philox(31, int(delta))
     counts_h = rng.poisson(2.0 * window * lam, nrows)
@@ -119,20 +127,28 @@ def test_batched_retention_matches_brute_force(delta):
     assert (np.abs(pos_h[valid_h]) <= delta).sum() > nrows
     assert (np.abs(pos_v[valid_v]) <= delta).sum() > nrows
 
-    keep_h, keep_v = _retain(_pack(pos_h, valid_h, marks_h),
-                             _pack(pos_v, valid_v, marks_v), delta,
-                             bound=window + delta + 2.0)
-    assert not (keep_h & ~valid_h).any() and not (keep_v & ~valid_v).any()
-    for tx in (Position(0.0, 0.0), Position(40.0, 0.0), Position(0.0, -55.0),
-               Position(70.0, 90.0)):
-        got_h = keep_h & _clear_of_tx("h", pos_h, tx, delta)
-        got_v = keep_v & _clear_of_tx("v", pos_v, tx, delta)
-        for r in range(nrows):
-            ph, pv = pos_h[r, :counts_h[r]], pos_v[r, :counts_v[r]]
-            exp_h, exp_v = brute_matern(ph, pv, marks_h[r, :counts_h[r]],
-                                        marks_v[r, :counts_v[r]], tx, delta)
-            np.testing.assert_array_equal(pos_h[r][got_h[r]], exp_h)
-            np.testing.assert_array_equal(pos_v[r][got_v[r]], exp_v)
+    no_v = (np.zeros_like(counts_v), pos_v[:, :0], valid_v[:, :0],
+            marks_v[:, :0])
+    for counts_v, pos_v, valid_v, marks_v in (
+            (counts_v, pos_v, valid_v, marks_v), no_v):
+        kept_h, kept_v = _retain(_pack(pos_h, valid_h, marks_h),
+                                 _pack(pos_v, valid_v, marks_v), delta,
+                                 bound=window + delta + 2.0)
+        assert (np.diff(kept_h) > 0).all() and (np.diff(kept_v) > 0).all()
+        keep_h = as_mask(kept_h, pos_h.shape)
+        keep_v = as_mask(kept_v, pos_v.shape)
+        assert not (keep_h & ~valid_h).any() and not (keep_v & ~valid_v).any()
+        for tx in (Position(0.0, 0.0), Position(40.0, 0.0),
+                   Position(0.0, -55.0), Position(70.0, 90.0)):
+            got_h = keep_h & _clear_of_tx("h", pos_h, tx, delta)
+            got_v = keep_v & _clear_of_tx("v", pos_v, tx, delta)
+            for r in range(nrows):
+                ph, pv = pos_h[r, :counts_h[r]], pos_v[r, :counts_v[r]]
+                exp_h, exp_v = brute_matern(
+                    ph, pv, marks_h[r, :counts_h[r]],
+                    marks_v[r, :counts_v[r]], tx, delta)
+                np.testing.assert_array_equal(pos_h[r][got_h[r]], exp_h)
+                np.testing.assert_array_equal(pos_v[r][got_v[r]], exp_v)
 
 
 def test_thin_csma_retained_density(make_scenario):
