@@ -225,7 +225,8 @@ def _los_exponent(p: float, lam: float, amplitude: float, theta: float,
 
 
 def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec):
-    """s^m G^(m)(s) by one adaptive quadrature per order m.
+    """s^m G^(m)(s) by one adaptive quadrature per order m, each over
+    one closure of the scaled variable u.
 
     G         = integral of lambda_mac(z) (1 - L_S(s g(z))) dz,
     s^m G^(m) = integral of lambda_mac(z) (-1)^(m+1) (k)_m (s theta g)^m
@@ -277,36 +278,41 @@ def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec):
 
     a_amp, alpha = loss.amplitude_a, loss.alpha
     k, theta = lt_s.k, lt_s.theta
+    neg_k = -float(k)
 
-    def integrate(term: Callable[[float], float], s: float) -> float:
-        def integrand(z: float) -> float:
+    def integrate(s: float, m: int) -> float:
+        # One closure per quadrature, so that each node costs one call
+        # here plus one to the intensity (and one to dist). The order-0
+        # term inlines L_S(s g) = (1 + (s g) theta)^-k; the orders m take
+        # (s theta) g. Both keep their operand order, and so their bits.
+        reach = (s * theta * a_amp) ** (1.0 / alpha) or 1.0
+        s_theta = s * theta
+        coef = (-1.0) ** (m + 1) * pochhammer(k, m)
+
+        def f(u: float) -> float:
+            z = center + reach * u
             lam = intensity(z)
             if lam == 0.0:
                 return 0.0
             r = dist(z)
-            return lam * term(math.inf if r == 0.0 else a_amp * r ** (-alpha))
+            g = math.inf if r == 0.0 else a_amp * r ** (-alpha)
+            if not m:
+                term = 1.0 - (1.0 + s * g * theta) ** neg_k
+            elif g == math.inf:
+                term = 0.0
+            else:
+                x = s_theta * g
+                term = coef * (x / (1.0 + x)) ** m * (1.0 + x) ** -k
+            return reach * (lam * term)
 
-        reach = (s * theta * a_amp) ** (1.0 / alpha) or 1.0
         value, _err = integrate_line(
-            lambda u: reach * integrand(center + reach * u),
-            breakpoints=[(c - center) / reach for c in cuts] + [-1.0, 1.0])
+            f, breakpoints=[(c - center) / reach for c in cuts] + [-1.0, 1.0])
         return value
 
     def exponent(s: float, n: int) -> list[float]:
         # At the receiver itself (g = inf) L_S(s g) = 0, so the order-0
         # integrand is 1 and every higher one is 0.
-        out = [integrate(lambda g: 1.0 - lt_s(s * g), s)]
-        for m in range(1, n + 1):
-            coef = (-1.0) ** (m + 1) * pochhammer(k, m)
-
-            def term(g: float, m: int = m, coef: float = coef) -> float:
-                if g == math.inf:
-                    return 0.0
-                x = s * theta * g
-                return coef * (x / (1.0 + x)) ** m * (1.0 + x) ** -k
-
-            out.append(integrate(term, s))
-        return out
+        return [integrate(s, m) for m in range(n + 1)]
 
     return exponent
 

@@ -367,8 +367,8 @@ def _delta_for_access(p_a: float, tx: model.Position,
     if not 0.0 < p_a < 1.0:
         raise SchemaError(f"access_probability {p_a} must be in (0, 1)")
     # (1 - exp(-m))/m = p_a has a unique positive root in the mass m.
-    mass = brentq(lambda m: -math.expm1(-m) - p_a * m, 1e-12, 2.0 / p_a,
-                  xtol=1e-15, rtol=1e-14)
+    mass = _bracketed_root(lambda m: -math.expm1(-m) - p_a * m,
+                           1e-12, 2.0 / p_a, p_a, xtol=1e-15)
     hi = 1.0
     for _ in range(80):
         if mac.contention_mass(tx, hi, roads) >= mass:
@@ -377,9 +377,21 @@ def _delta_for_access(p_a: float, tx: model.Position,
     else:
         raise SchemaError(
             f"cannot reach access probability {p_a} at tx: roads too sparse")
-    return brentq(
+    return _bracketed_root(
         lambda delta: mac.contention_mass(tx, delta, roads) - mass,
-        1e-9, hi, xtol=1e-12, rtol=1e-14)
+        1e-9, hi, p_a, xtol=1e-12)
+
+
+def _bracketed_root(f, lo: float, hi: float, p_a: float, xtol: float) -> float:
+    """brentq's root of f in [lo, hi]. For p_a close enough to 1 the mass
+    root, about 2 (1 - p_a), falls below 1e-12 or the delta root below
+    1e-9 m; then f has no sign change on the bracket and p_a is rejected."""
+    try:
+        return brentq(f, lo, hi, xtol=xtol, rtol=1e-14)
+    except ValueError:
+        raise SchemaError(
+            f"access_probability {p_a} is too close to 1: its sensing "
+            "radius is too small to solve for") from None
 
 
 def _apply(scenario, link, key, value):

@@ -114,25 +114,36 @@ def csma_intensity(road: str, scenario: Scenario, tx: Position) -> IntensityFn:
         choice on a measure-zero set),
       * p_A(z) * lambda_R otherwise, where p_A picks up the cross-road
         coupling automatically within |z| <= delta of the intersection.
+
+    The quadrature calls the result once per node, so everything that
+    does not depend on z (both roads' densities, delta^2, the own-road
+    mass 2 delta lambda_R, tx's offsets along and across the road) is
+    computed here once. The value equals
+    ``access_probability(pos, delta, roads) * lambda_R`` exactly, pos the
+    point z on ``road``: the same float operations in the same order.
     """
 
     mac = scenario.mac
     if not isinstance(mac, Csma):
         raise WrongMac(f"csma_intensity needs a CSMA scenario, got {mac}")
     delta = mac.delta
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     lam = scenario.roads.density(road)
-    roads = scenario.roads
+    other = scenario.roads.density("v" if road == "h" else "h")
     delta_sq = delta * delta
+    own_mass = 2.0 * delta * lam
+    along, perp = (tx.x, tx.y) if road == "h" else (tx.y, tx.x)
+    perp_sq = perp * perp
 
     def intensity(z: float) -> float:
-        if road == "h":
-            pos = Position(z, 0.0)
-            dx, dy = z - tx.x, -tx.y
-        else:
-            pos = Position(0.0, z)
-            dx, dy = -tx.x, z - tx.y
-        if dx * dx + dy * dy <= delta_sq:
+        d = z - along
+        if d * d + perp_sq <= delta_sq:
             return 0.0
-        return access_probability(pos, delta, roads) * lam
+        r = abs(z)
+        mass = own_mass
+        if r <= delta:
+            mass += 2.0 * math.sqrt(delta_sq - r * r) * other
+        return access_probability_from_mass(mass) * lam
 
     return intensity

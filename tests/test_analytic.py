@@ -9,6 +9,10 @@ from crossrx import (Aloha, Csma, Erlang, LogNormal, NoMac, PathLossSpec,
                      lt_interference_generic, reception_probability, road_lt,
                      throughput)
 from crossrx.analytic import _quadrature_exponent, lt_h_sqrt_derivative
+from crossrx.mac import access_probability
+from crossrx.model import EUCLIDEAN
+from crossrx.numerics import integrate_line, pochhammer
+from crossrx.propagation import fading_lt
 
 from conftest import BETA, CANYON, NOISE_W, closed_form
 
@@ -36,6 +40,94 @@ def assert_exponents_match_quadrature(road, scen, link, s, orders=4):
     quad = _quadrature_exponent(road, scen, link)(s, orders)
     assert np.allclose(closed, quad, rtol=0.0, atol=1e-11), road
 
+
+
+def reference_exponent(road, scen, link, s, n):
+    """s^m G^(m)(s), m <= n, from an integrand in its plain form: the
+    intensity through Position and access_probability, a separate
+    distance and fading transform, and a wrapper for the scaled variable
+    u. The same breakpoints and float operations as the quadrature route."""
+    mac = scen.mac
+    fading = scen.fading_h if road == "h" else scen.fading_v
+    loss = scen.loss_h if road == "h" else scen.loss_v
+    lt_s = fading_lt(fading)
+    rx, tx = link.rx, link.tx
+    lam_road = scen.roads.density(road)
+    cuts = []
+    if isinstance(mac, Csma):
+        delta = mac.delta
+        cuts.extend((-delta, delta))
+        along, perp = (tx.x, tx.y) if road == "h" else (tx.y, tx.x)
+        gap = delta * delta - perp ** 2
+        if gap >= 0.0:
+            half = math.sqrt(gap)
+            cuts.extend((along - half, along + half))
+
+    def intensity(z):
+        if isinstance(mac, Aloha):
+            return mac.p * lam_road
+        pos = Position(z, 0.0) if road == "h" else Position(0.0, z)
+        dx, dy = pos.x - tx.x, pos.y - tx.y
+        if dx * dx + dy * dy <= delta * delta:
+            return 0.0
+        return access_probability(pos, delta, scen.roads) * lam_road
+
+    def dist(z):
+        if road == "h":
+            return abs(z - rx.x)
+        if loss.norm == EUCLIDEAN:
+            return math.hypot(rx.x, z)
+        return abs(rx.x) + abs(z)
+
+    center = rx.x if road == "h" else 0.0
+    cuts.append(center)
+    a_amp, alpha = loss.amplitude_a, loss.alpha
+    k, theta = lt_s.k, lt_s.theta
+
+    def integrate(term):
+        def integrand(z):
+            lam = intensity(z)
+            if lam == 0.0:
+                return 0.0
+            r = dist(z)
+            return lam * term(math.inf if r == 0.0 else a_amp * r ** (-alpha))
+
+        reach = (s * theta * a_amp) ** (1.0 / alpha) or 1.0
+        value, _err = integrate_line(
+            lambda u: reach * integrand(center + reach * u),
+            breakpoints=[(c - center) / reach for c in cuts] + [-1.0, 1.0])
+        return value
+
+    out = [integrate(lambda g: 1.0 - lt_s(s * g))]
+    for m in range(1, n + 1):
+        coef = (-1.0) ** (m + 1) * pochhammer(k, m)
+
+        def term(g, m=m, coef=coef):
+            if g == math.inf:
+                return 0.0
+            x = s * theta * g
+            return coef * (x / (1.0 + x)) ** m * (1.0 + x) ** -k
+
+        out.append(integrate(term))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+@pytest.mark.parametrize("norm", ["euclidean", "manhattan"])
+@pytest.mark.parametrize("road", ["h", "v"])
+@pytest.mark.parametrize("mac", [Aloha(0.01), Csma(500.0), Csma(10000.0)])
+def test_quadrature_exponent_is_bitwise_reference(make_scenario, make_link,
+                                                  mac, road, norm, alpha, k):
+    loss = PathLossSpec(norm, 3e-5, alpha)
+    fading = Erlang(k, 0.66)
+    scen = make_scenario(mac, loss_h=loss, loss_v=loss, fading_h=fading,
+                         fading_v=fading)
+    # tx at 150 m: the kill disc cuts the V road too at delta = 500.
+    link = make_link((150, 0), (300, 0))
+    s = eval_context(scen, link).zeta
+    assert (_quadrature_exponent(road, scen, link)(s, 3)
+            == reference_exponent(road, scen, link, s, 3))
 
 def test_lt_rural_h_hand_value(make_scenario, make_link):
     scen = make_scenario(Aloha(0.005))

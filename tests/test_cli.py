@@ -297,6 +297,26 @@ def test_delta_for_access_roundtrip():
         _delta_for_access(1.5, Position(0, 0), roads)
 
 
+@pytest.mark.parametrize("p_a", ["0.99999999999", "0.999999999999",
+                                 "0.99999999999999"])
+def test_access_probability_too_close_to_one(p_a, tmp_path, capsys):
+    # With tx at the corner the first two need a delta below the bracket's
+    # 1e-9 m, the last a contention mass below 1e-12: config errors, not
+    # crashes.
+    text = BASE_CONFIG.replace(
+        "protocol = aloha\np = 0.01", "protocol = csma\ndelta_m = 100")
+    text = text.replace("tx_x_m = 100", "tx_x_m = 0")
+    text = text.replace(
+        "axis = tx_rx_distance\nvalues = 100, 200, 300",
+        "axis = access_probability\nvalues = " + p_a + "\nrx_x_m = 100")
+    cfg = tmp_path / "near_one.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert (f"access_probability {float(p_a)} is too close to 1"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_access_probability_axis(tmp_path):
     text = BASE_CONFIG.replace(
         "protocol = aloha\np = 0.01", "protocol = csma\ndelta_m = 100")

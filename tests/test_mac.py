@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from crossrx import (Aloha, Csma, OffRoadPosition, Position, RoadConfig,
-                     WrongMac, access_probability, aloha_intensity,
-                     contention_mass, csma_intensity)
+from crossrx import (Aloha, Csma, Exponential, OffRoadPosition, PathLossSpec,
+                     Position, RoadConfig, Scenario, WrongMac,
+                     access_probability, aloha_intensity, contention_mass,
+                     csma_intensity)
 from crossrx.mac import access_probability_from_mass
 
 
@@ -118,3 +119,52 @@ def test_csma_intensity_couples_roads(make_scenario):
 def test_csma_intensity_wrong_mac(make_scenario):
     with pytest.raises(WrongMac):
         csma_intensity("v", make_scenario(Aloha(0.5)), Position(0, 0))
+
+
+# Transmitters on H, on V, at the corner and off both roads. The first
+# two are far enough out that their kill discs leave most of the stretch
+# |z| <= delta, where the contention ball reaches the other road, alive.
+INTENSITY_TXS = [Position(1700.0, 0.0), Position(0.0, -1300.0),
+                 Position(0.0, 0.0), Position(120.0, 80.0)]
+
+
+@given(road=st.sampled_from("hv"), tx=st.sampled_from(INTENSITY_TXS),
+       z=st.floats(-3000.0, 3000.0),
+       delta=st.floats(1.0, 2000.0),
+       lam_h=st.floats(1e-4, 0.1), lam_v=st.floats(1e-4, 0.1))
+@example(road="v", tx=INTENSITY_TXS[0], z=0.0, delta=500.0, lam_h=0.01,
+         lam_v=0.03)  # the corner, on the V road
+@example(road="h", tx=INTENSITY_TXS[1], z=0.0, delta=200.0, lam_h=0.01,
+         lam_v=0.03)
+@example(road="h", tx=INTENSITY_TXS[0], z=-500.0, delta=500.0, lam_h=0.02,
+         lam_v=0.01)  # |z| = delta, where the chord closes
+@example(road="v", tx=INTENSITY_TXS[0], z=500.0, delta=500.0, lam_h=0.02,
+         lam_v=0.01)
+@example(road="h", tx=INTENSITY_TXS[0], z=27.8, delta=1044.8, lam_h=0.01,
+         lam_v=0.03)  # inside the chord stretch, off round numbers
+@example(road="v", tx=INTENSITY_TXS[0], z=-71.7, delta=1234.5, lam_h=0.01,
+         lam_v=0.03)
+@example(road="h", tx=INTENSITY_TXS[1], z=400.0, delta=1360.1470508735442,
+         lam_h=0.01, lam_v=0.01)  # at a kill-disc chord end, up to rounding
+@example(road="v", tx=INTENSITY_TXS[3], z=160.0, delta=144.22205101855957,
+         lam_h=0.01, lam_v=0.01)  # ditto, tx off the roads
+@example(road="h", tx=INTENSITY_TXS[0], z=2200.0, delta=500.0, lam_h=0.01,
+         lam_v=0.01)  # exactly on the kill-disc chord end
+@example(road="v", tx=INTENSITY_TXS[1], z=-1800.0, delta=500.0, lam_h=0.01,
+         lam_v=0.01)
+@example(road="h", tx=INTENSITY_TXS[2], z=5.0, delta=1e-3, lam_h=1e-6,
+         lam_v=1e-6)  # contention mass below 1e-8: the Taylor branch
+def test_csma_intensity_is_access_probability_times_density(
+        road, tx, z, delta, lam_h, lam_v):
+    roads = RoadConfig(lambda_h=lam_h, lambda_v=lam_v)
+    los = PathLossSpec(norm="euclidean", amplitude_a=3e-5, alpha=2.0)
+    scen = Scenario(roads=roads, mac=Csma(delta), loss_useful=los,
+                    loss_h=los, loss_v=los, fading_useful=Exponential(),
+                    fading_h=Exponential(), fading_v=Exponential())
+    pos = Position(z, 0.0) if road == "h" else Position(0.0, z)
+    dx, dy = pos.x - tx.x, pos.y - tx.y
+    if dx * dx + dy * dy <= delta * delta:
+        expected = 0.0
+    else:
+        expected = access_probability(pos, delta, roads) * roads.density(road)
+    assert csma_intensity(road, scen, tx)(z) == expected
