@@ -18,10 +18,10 @@ configuration takes one adaptive quadrature per order; the m = 0
 quadrature, :func:`lt_interference_generic`, doubles as the oracle the
 closed forms are tested against.
 
-The transforms need Erlang fading. Log-normal shadowing is replaced by
-its Erlang surrogate (:func:`analytic_view`, fitted once per spread on a
-fixed stream) before evaluation; only the Monte Carlo engine samples the
-log-normal law itself.
+The transforms need Erlang fading. :func:`analytic_view` replaces
+log-normal shadowing by its Erlang surrogate,
+:func:`crossrx.propagation.erlang_fit`, before evaluation; only the Monte
+Carlo engine samples the log-normal law itself.
 
 With Erlang(k0, theta_0) useful fading S_0, success S_0 >= beta~ (N~ +
 I_H + I_V) (I_R the road-R interference) is the event that a Poisson
@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
 from scipy.special import betainc
 
 from .mac import access_probability_at, aloha_intensity, csma_intensity
@@ -119,29 +118,6 @@ def eval_context(scenario: Scenario, link: LinkSpec) -> EvalContext:
     if isinstance(scenario.fading_useful, Erlang):
         zeta = tilde_beta / scenario.fading_useful.theta
     return EvalContext(tilde_beta=tilde_beta, tilde_n=tilde_n, zeta=zeta)
-
-
-def lt_h_sqrt_derivative(kappa: float, zeta: float, n: int) -> float:
-    """Exact n-th derivative of zeta -> exp(-kappa sqrt(zeta)), any n >= 0.
-
-    Closed Pochhammer double sum; valid only for the alpha = 2 square-root
-    form. A test oracle for :meth:`InterferenceLT.derivatives` and for the
-    numeric differentiator.
-    """
-
-    if n < 0 or n != int(n):
-        raise ValueError(f"derivative order must be an integer >= 0, got {n}")
-    root = math.sqrt(zeta)
-    base = math.exp(-kappa * root)
-    if n == 0:
-        return base
-    total = 0.0
-    for l in range(n + 1):
-        for m in range(l + 1):
-            total += ((-1.0) ** m * (-kappa * root) ** l
-                      * pochhammer((2.0 - m + l - 2.0 * n) / 2.0, n)
-                      / (math.factorial(m) * math.factorial(l - m)))
-    return base * zeta ** (-n) * total
 
 
 # --- per-road exponents -----------------------------------------------------
@@ -371,44 +347,21 @@ def road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
                           "quadrature")
 
 
-# --- log-normal surrogate ---------------------------------------------------
-
-_FIT_SEED = 0x0E51_1A7E
-_FIT_SAMPLES = 1_000_000
-
-# Erlang surrogates for log-normal shadowing, keyed by sigma_db.  The
-# fit stream is fixed so the analytic engine is deterministic and CSV
-# reruns stay byte-identical.
-_FIT_CACHE: dict[float, Erlang] = {}
-
-
-def _surrogate(fading):
-    if not isinstance(fading, LogNormal):
-        return fading
-    key = float(fading.sigma_db)
-    if key not in _FIT_CACHE:
-        rng = np.random.Generator(np.random.Philox(key=[_FIT_SEED, 0]))
-        _FIT_CACHE[key] = erlang_fit(key, _FIT_SAMPLES, rng)
-    return _FIT_CACHE[key]
-
-
 def analytic_view(scenario: Scenario) -> Scenario:
-    """Scenario with every log-normal fading replaced by its Erlang fit.
+    """Scenario with every log-normal fading replaced by its Erlang fit,
+    :func:`crossrx.propagation.erlang_fit`.
 
     Returns ``scenario`` itself when nothing is log-normal. The Monte
     Carlo engine always samples the configured distributions; only the
     transform pipeline needs the surrogate.
     """
 
-    if not any(isinstance(f, LogNormal) for f in
-               (scenario.fading_useful, scenario.fading_h, scenario.fading_v)):
-        return scenario
-    return dataclasses.replace(
-        scenario,
-        fading_useful=_surrogate(scenario.fading_useful),
-        fading_h=_surrogate(scenario.fading_h),
-        fading_v=_surrogate(scenario.fading_v),
-    )
+    fits = {}
+    for name in ("fading_useful", "fading_h", "fading_v"):
+        fading = getattr(scenario, name)
+        if isinstance(fading, LogNormal):
+            fits[name] = erlang_fit(fading.sigma_db)
+    return dataclasses.replace(scenario, **fits) if fits else scenario
 
 
 # --- reception probability ---------------------------------------------------

@@ -8,8 +8,9 @@ Subcommands:
   with ``--emit-config``).
 * ``compare <a.csv> <b.csv> --tol <spec>``: align two result files on
   their identity columns and check value agreement.
-* ``fit-erlang --sigma-db <v>``: print the Erlang surrogate the analytic
-  engine uses for a log-normal shadowing spread.
+* ``fit-erlang --sigma-db <v>``: print ``propagation.erlang_fit(v)``, the
+  Erlang surrogate the analytic engine uses for a log-normal shadowing
+  spread.
 
 Exit codes: 0 success (and compare PASS), 1 compare FAIL, 2 config or
 schema error, 3 numeric failure (such as a quadrature tolerance or a
@@ -863,14 +864,23 @@ def preset_config(name: str) -> str:
 
 
 def _read_csv(path: str):
+    """Field names and rows of a result CSV, every cell read as a float."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
-                raise AxisMismatch(f"{path} is empty")
-            return list(reader.fieldnames), list(reader)
+            rows = list(reader)
     except OSError as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise AxisMismatch(f"{path} has no data rows")
+    for i, row in enumerate(rows):
+        for col, cell in row.items():
+            try:
+                row[col] = float(cell)
+            except (TypeError, ValueError):
+                raise SchemaError(f"{path} row {i}, column {col}: "
+                                  f"{cell!r} is not a number") from None
+    return list(reader.fieldnames), rows
 
 
 def _is_value_column(name: str) -> bool:
@@ -896,7 +906,8 @@ def compare_files(path_a: str, path_b: str, tol_spec: str) -> tuple[bool, str]:
     file is checked against the Monte Carlo column of the second (an
     engine-agreement check).  Tolerance spec is ``abs:X`` for a plain
     absolute bound or ``stderr:K`` for K times the Monte Carlo
-    standard error.
+    standard error. Every cell must parse as a number; a non-finite
+    value or standard error fails its row.
     """
     kind, _, arg = tol_spec.partition(":")
     if kind not in ("abs", "stderr") or not arg:
@@ -905,6 +916,9 @@ def compare_files(path_a: str, path_b: str, tol_spec: str) -> tuple[bool, str]:
         tol_value = float(arg)
     except ValueError as exc:
         raise SchemaError(f"tolerance {tol_spec!r}: {exc}") from exc
+    if not (math.isfinite(tol_value) and tol_value >= 0.0):
+        raise SchemaError(
+            f"tolerance {tol_spec!r} must be finite and nonnegative")
 
     fields_a, rows_a = _read_csv(path_a)
     fields_b, rows_b = _read_csv(path_b)
@@ -918,7 +932,7 @@ def compare_files(path_a: str, path_b: str, tol_spec: str) -> tuple[bool, str]:
             f"row counts differ: {len(rows_a)} vs {len(rows_b)}")
     for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         for col in ids_a:
-            if float(ra[col]) != float(rb[col]):
+            if ra[col] != rb[col]:
                 raise AxisMismatch(
                     f"row {i}: {col} = {ra[col]} vs {rb[col]}")
 
@@ -942,13 +956,15 @@ def compare_files(path_a: str, path_b: str, tol_spec: str) -> tuple[bool, str]:
     max_delta = 0.0
     for col_a, col_b in pairs:
         for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-            delta = abs(float(ra[col_a]) - float(rb[col_b]))
+            delta = abs(ra[col_a] - rb[col_b])
             max_delta = max(max_delta, delta)
             if kind == "abs":
                 allowed = tol_value
             else:
-                allowed = tol_value * float(stderr_rows[i]["mc_stderr"])
+                allowed = tol_value * stderr_rows[i]["mc_stderr"]
             excess = delta - allowed
+            if not math.isfinite(excess):  # a non-finite value or error bar
+                excess = math.inf
             if excess > worst_excess:
                 worst_excess = excess
                 worst = (col_a, col_b, i, ra, delta, allowed)
@@ -956,7 +972,7 @@ def compare_files(path_a: str, path_b: str, tol_spec: str) -> tuple[bool, str]:
     ok = worst_excess <= 0.0
     col_a, col_b, i, ra, delta, allowed = worst
     what = " ".join(f"{a}~{b}" if a != b else a for a, b in pairs)
-    where = ", ".join(f"{c}={float(ra[c]):g}" for c in ids_a)
+    where = ", ".join(f"{c}={ra[c]:g}" for c in ids_a)
     lines = [
         f"compare: {what} over {len(rows_a)} points "
         f"({path_a} vs {path_b})",
@@ -1034,7 +1050,7 @@ def main(argv=None) -> int:
             print(report)
             return 0 if ok else 1
         if args.command == "fit-erlang":
-            fit = analytic._surrogate(model.LogNormal(args.sigma_db))
+            fit = propagation.erlang_fit(args.sigma_db)
             print(f"sigma_db = {args.sigma_db} -> Erlang k = {fit.k}, "
                   f"theta = {fit.theta:.6f}")
             return 0

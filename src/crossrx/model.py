@@ -117,8 +117,9 @@ class LogNormal:
     """Log-normal shadowing with the given dB spread and unit median.
 
     Only sampling is supported; the Laplace transform has no closed form.
-    Analytic pipelines approximate this by a fitted Erlang, see
-    ``propagation.erlang_fit``.
+    The analytic engine evaluates its Erlang surrogate
+    ``propagation.erlang_fit(sigma_db)`` instead (see
+    ``analytic.analytic_view``); the Monte Carlo engine samples this law.
     """
 
     sigma_db: float

@@ -3,7 +3,8 @@
 Fading distributions are unit-scale power gains. Erlang(k, theta) covers
 the analytically tractable family (k = 1 being exponential / Rayleigh
 power fading); LogNormal is sampler-only and must be approximated by
-:func:`erlang_fit` before entering any Laplace-transform pipeline.
+:func:`erlang_fit`, the one surrogate the analytic engine uses, before
+entering any Laplace-transform pipeline.
 
 The Erlang Laplace transform is (1 + s*theta)^(-k). The exponent is
 negative: a Laplace transform of a nonnegative random variable cannot
@@ -12,6 +13,7 @@ exceed one, and the exponential special case 1/(1 + s) confirms the sign.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,10 +24,6 @@ from .model import Erlang, FadingSpec, LogNormal, PathLossSpec, Position, distan
 
 # ln(10)/10: converts a dB-domain sigma to the sigma of ln(gain).
 _DB_TO_LN = math.log(10.0) / 10.0
-
-# Fixed fallback seed so erlang_fit without an explicit stream is still
-# deterministic run to run.
-_DEFAULT_FIT_SEED = 0x5EED_F17
 
 
 class DegenerateGeometry(ValueError):
@@ -103,17 +101,24 @@ def sample_fading_array(f: FadingSpec, rng: np.random.Generator,
     raise UnsupportedDistribution(f"cannot sample {f!r}")
 
 
-_K_SEARCH_MAX = 50
+# The one stream every surrogate fit draws from, so that the analytic
+# engine is deterministic and CSV reruns stay byte-identical.
+_FIT_SEED = 0x0E51_1A7E
+_FIT_SAMPLES = 1_000_000
+_K_SEARCH_MAX = 200
 
 
-def erlang_fit(sigma_db: float, sample_count: int = 1_000_000,
-               rng: np.random.Generator | None = None) -> Erlang:
-    """Fit an Erlang law to unit-median log-normal shadowing by sampled MLE.
+@functools.cache
+def erlang_fit(sigma_db: float) -> Erlang:
+    """The Erlang surrogate for unit-median log-normal shadowing, by
+    sampled MLE; fitted once per spread and cached.
 
-    Draws ``sample_count`` log-normal gains, then maximizes the Erlang
-    log-likelihood over integer shapes k in [1, 50] with the scale at its
-    conditional MLE theta = mean/k. The integer search keeps the result
-    inside the family the analytic pipeline can actually use.
+    Draws 1e6 log-normal gains from one fixed stream, then maximizes the
+    Erlang log-likelihood over integer shapes k in [1, 200] with the
+    scale at its conditional MLE theta = mean/k. The integer search keeps
+    the result inside the family the analytic pipeline can actually use.
+    This is the fit :func:`crossrx.analytic.analytic_view` substitutes and
+    ``crossrx fit-erlang`` prints.
 
     Raises FitDegenerate if the best k sits at the top of the search
     range (the fit wants a shape this family cannot represent). k = 1 is
@@ -123,14 +128,8 @@ def erlang_fit(sigma_db: float, sample_count: int = 1_000_000,
 
     if not sigma_db > 0:
         raise ValueError(f"sigma_db must be positive, got {sigma_db}")
-    if sample_count < 100_000:
-        raise ValueError(
-            f"sample_count must be at least 1e5 for a stable fit, got {sample_count}"
-        )
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=_DEFAULT_FIT_SEED))
-
-    x = np.exp(rng.standard_normal(sample_count) * (sigma_db * _DB_TO_LN))
+    rng = np.random.Generator(np.random.Philox(key=[_FIT_SEED, 0]))
+    x = np.exp(rng.standard_normal(_FIT_SAMPLES) * (sigma_db * _DB_TO_LN))
     mean = float(x.mean())
     mean_log = float(np.log(x).mean())
 

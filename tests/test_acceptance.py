@@ -16,10 +16,10 @@ from crossrx import (Aloha, Csma, Erlang, LogNormal, Position, SimSettings,
                      access_probability, derivative_n, erlang_fit, gamma_fn,
                      hyp2f1_regularized, lt_interference_generic,
                      reception_probability, simulate_outage_sweep, throughput)
-from crossrx.analytic import lt_h_sqrt_derivative
 from crossrx.cli import preset_config, run_config_text
 
 from conftest import BETA, CANYON, NOISE_W, closed_form
+from oracles import lt_h_sqrt_derivative
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:expected interference truncated")

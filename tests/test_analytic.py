@@ -8,13 +8,14 @@ from crossrx import (Aloha, Csma, Erlang, LogNormal, NoMac, PathLossSpec,
                      Position, analytic_view, derivative_n, eval_context,
                      lt_interference_generic, reception_probability, road_lt,
                      throughput)
-from crossrx.analytic import _quadrature_exponent, lt_h_sqrt_derivative
+from crossrx.analytic import _quadrature_exponent
 from crossrx.mac import access_probability
 from crossrx.model import EUCLIDEAN
 from crossrx.numerics import integrate_line, pochhammer
 from crossrx.propagation import fading_lt
 
 from conftest import BETA, CANYON, NOISE_W, closed_form
+from oracles import lt_h_sqrt_derivative
 
 # Hand-computable reference: tx at the intersection, rx 100 m out,
 # p = 0.005. zeta = beta * u^2 / A = 2.1032e9, b = A * zeta = 6.3096e4:

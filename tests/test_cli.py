@@ -217,6 +217,40 @@ def test_compare_modes(tmp_path):
         compare_files(path, path, "rel:3")
 
 
+COMPARE_A = "distance_m,outage_analytic\n100,0.1\n200,0.2\n"
+COMPARE_B = ("distance_m,outage_mc,mc_stderr\n"
+             "100,0.101,0.002\n200,0.199,0.002\n")
+
+
+@pytest.mark.parametrize("a, b, tol, code, message", [
+    (COMPARE_A, COMPARE_B, "stderr:3", 0, "PASS"),
+    # Non-finite cells fail their row.
+    (COMPARE_A.replace("0.2", "nan"), COMPARE_B, "stderr:3", 1,
+     "FAIL at row 1"),
+    (COMPARE_A, COMPARE_B.replace("0.101,0.002", "0.101,inf"), "stderr:3", 1,
+     "FAIL at row 0"),
+    # Input that cannot be compared is rejected.
+    (COMPARE_A, COMPARE_B.replace("0.199", "n/a"), "stderr:3", 2,
+     "b.csv row 1, column outage_mc: 'n/a' is not a number"),
+    (COMPARE_A, COMPARE_B.splitlines()[0] + "\n", "stderr:3", 2,
+     "b.csv has no data rows"),
+    (COMPARE_A, COMPARE_B, "abs:nan", 2,
+     "tolerance 'abs:nan' must be finite and nonnegative"),
+    (COMPARE_A, COMPARE_B, "stderr:inf", 2,
+     "tolerance 'stderr:inf' must be finite and nonnegative"),
+    (COMPARE_A, COMPARE_B, "abs:-1", 2,
+     "tolerance 'abs:-1' must be finite and nonnegative"),
+], ids=["pass", "nan-value", "inf-stderr", "non-numeric", "no-rows",
+        "abs-nan", "stderr-inf", "abs-negative"])
+def test_compare_checks_its_input(tmp_path, capsys, a, b, tol, code, message):
+    (tmp_path / "a.csv").write_text(a)
+    (tmp_path / "b.csv").write_text(b)
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                 "--tol", tol]) == code
+    out = capsys.readouterr()
+    assert message in (out.err if code == 2 else out.out)
+
+
 def test_compare_across_engines(tmp_path):
     # the wide window keeps truncation bias well below the stderr band
     wide = BASE_CONFIG.replace("window_half_length_m = 3000",

@@ -198,7 +198,7 @@ def test_outage_tracks_analytic_with_interference(make_scenario, make_link):
     assert abs(est.p_out - analytic) < 4 * est.std_err
 
 
-@pytest.mark.parametrize("sigma_db, k0", [(1.0, 19), (0.7, 39)])
+@pytest.mark.parametrize("sigma_db, k0", [(1.0, 19), (0.7, 39), (0.6, 53)])
 def test_outage_tracks_analytic_at_high_erlang_shape(make_scenario, make_link,
                                                      sigma_db, k0):
     # Narrow log-normal spreads fit large Erlang shapes: reception needs

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crossrx import (DegenerateGeometry, Erlang, Exponential, FitDegenerate,
-                     LogNormal, Position, UnsupportedDistribution,
-                     derivative_n, erlang_fit, fading_ccdf, fading_lt,
-                     path_loss, sample_fading_array)
+from crossrx import (Aloha, DegenerateGeometry, Erlang, Exponential,
+                     FitDegenerate, LogNormal, Position,
+                     UnsupportedDistribution, analytic_view, derivative_n,
+                     erlang_fit, fading_ccdf, fading_lt, path_loss,
+                     sample_fading_array)
 
 from conftest import CANYON, LOS
 
@@ -105,30 +106,48 @@ def test_sample_fading_array_matches_scalar_law():
 
 
 def test_erlang_fit_reference_spread():
-    fit = erlang_fit(3.2, sample_count=200_000)
+    fit = erlang_fit(3.2)
     assert fit.k == 2
     assert 0.60 <= fit.theta <= 0.72
 
 
 def test_erlang_fit_wide_spread_gives_k1():
-    fit = erlang_fit(4.5, sample_count=200_000)
+    fit = erlang_fit(4.5)
     assert fit.k == 1
 
 
 def test_erlang_fit_narrow_spread_degenerates():
     with pytest.raises(FitDegenerate):
-        erlang_fit(0.3, sample_count=200_000)
+        erlang_fit(0.3)
 
 
 def test_erlang_fit_rejects_bad_input():
     with pytest.raises(ValueError):
         erlang_fit(0.0)
-    with pytest.raises(ValueError):
-        erlang_fit(3.2, sample_count=999)
 
 
 def test_erlang_fit_deterministic_default_stream():
-    assert erlang_fit(3.2, 200_000) == erlang_fit(3.2, 200_000)
+    assert erlang_fit(3.2) == erlang_fit(3.2)
+
+
+# The analytic engine's surrogates, pinned bit for bit.
+@pytest.mark.parametrize("sigma_db, k, theta", [
+    (4.5, 1, 1.709814198382603),
+    (3.2, 2, 0.6559304507074172),
+    (2.5, 3, 0.3934316173384098),
+    (2.2, 4, 0.2842527338943124),
+    (2.0, 5, 0.22239553919098937),
+    (1.0, 19, 0.054049519428197836),
+    (0.7, 39, 0.025977693369177563),
+])
+def test_erlang_fit_is_the_engine_surrogate(make_scenario, sigma_db, k,
+                                            theta):
+    fit = erlang_fit(sigma_db)
+    assert fit == Erlang(k, theta)
+    scen = analytic_view(make_scenario(Aloha(0.01),
+                                       fading_useful=LogNormal(sigma_db),
+                                       fading_v=LogNormal(sigma_db)))
+    assert scen.fading_useful is fit and scen.fading_v is fit
 
 
 @given(k=st.integers(min_value=1, max_value=8),
