@@ -12,12 +12,15 @@ Subcommands:
   Erlang surrogate the analytic engine uses for a log-normal shadowing
   spread.
 
-Exit codes: 0 success (and compare PASS), 1 compare FAIL, 2 config or
-schema error, 3 numeric failure (such as a quadrature tolerance or a
-surrogate fit), whose message names the sweep and axis value that raised
-it. The analytic engine differentiates exactly
-(``numerics.derivative_n`` is a test oracle only), so no Erlang shape is
-rejected for its derivative order.
+Exit codes: 0 success (and compare PASS); 1 compare FAIL; 2 a config or
+schema error (``[sim]`` values outside ``SimSettings``' ranges included),
+an unknown preset, compare input that cannot be aligned, or a
+``fit-erlang`` spread that is not finite and positive; 3 a numeric
+failure (such as a quadrature tolerance or a surrogate fit), whose
+message in a run names the sweep and axis value that raised it. Errors
+go to stderr, and a run that fails writes no CSV. The analytic engine
+differentiates exactly (``numerics.derivative_n`` is a test oracle
+only), so no Erlang shape is rejected for its derivative order.
 
 CSV cells are fixed 17-significant-digit scientific notation, UTF-8,
 LF line endings, so byte-identical reruns are a meaningful check.
@@ -339,13 +342,19 @@ def _parse_config(cp: configparser.ConfigParser) -> RunPlan:
         link = _parse_link(cp)
     except ValueError as exc:
         raise SchemaError(f"[link] {exc}") from exc
-    sim = SimSettings(
-        realizations=_value(cp, "sim", "realizations", int),
-        window_half_length=_value(cp, "sim", "window_half_length_m", float,
-                                  required=False, default=20_000.0),
-        seed=_value(cp, "sim", "seed", int, required=False, default=0),
-        workers=_value(cp, "sim", "workers", int, required=False, default=1),
-    )
+    try:
+        sim = SimSettings(
+            realizations=_value(cp, "sim", "realizations", int),
+            window_half_length=_value(
+                cp, "sim", "window_half_length_m", float, required=False,
+                default=SimSettings.window_half_length),
+            seed=_value(cp, "sim", "seed", int, required=False,
+                        default=SimSettings.seed),
+            workers=_value(cp, "sim", "workers", int, required=False,
+                           default=SimSettings.workers),
+        )
+    except ValueError as exc:
+        raise SchemaError(f"[sim] {exc}") from exc
     prefix = _value(cp, "output", "prefix", str)
     sweeps = tuple(_parse_sweep(cp, s) for s in sweep_sections)
 
@@ -649,214 +658,98 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
 
 
 # ---------------------------------------------------------------------------
-# Presets
+# Presets: each PRESETS entry gives what its figure changes from roads of
+# 0.01 vehicles per m, one link budget, line-of-sight loss, exponential
+# fading, and sweeps that run both engines.
 
 
-_PHYSICS_LOS = """\
-[roads]
-lambda_h_per_m = 0.01
-lambda_v_per_m = 0.01
-
-[loss_useful]
-norm = euclidean
-amplitude_a = 3e-5
-alpha = 2
-
-[loss_h]
-norm = euclidean
-amplitude_a = 3e-5
-alpha = 2
-
-[loss_v]
-norm = euclidean
-amplitude_a = 3e-5
-alpha = 2
-
-[fading_useful]
-family = exponential
-theta = 1
-
-[fading_h]
-family = exponential
-theta = 1
-
-[fading_v]
-family = exponential
-theta = 1
-"""
-
-_LINK_TEMPLATE = """\
-[link]
-tx_x_m = {tx_x}
-tx_y_m = {tx_y}
-rx_x_m = {rx_x}
-rx_y_m = {rx_y}
-power_w = 0.1
-noise_dbm = -99
-beta_db = 8
-"""
+_LOS = {"norm": "euclidean", "amplitude_a": "3e-5", "alpha": 2}
+_RAYLEIGH = {"family": "exponential", "theta": 1}
 
 
-def _fig2_config() -> str:
-    parts = [
-        _PHYSICS_LOS,
-        "[mac]\nprotocol = aloha\np = 0.005\n",
-        _LINK_TEMPLATE.format(tx_x=110, tx_y=0, rx_x=10, rx_y=0),
-        "[sim]\nrealizations = 100000\nwindow_half_length_m = 400000\n"
-        "seed = 20260817\nworkers = 4\n",
-        "[output]\nprefix = fig2\n",
-    ]
-    for d in (0, 100, 500):
-        for p in ("0", "0.005", "0.1"):
-            parts.append(
-                f"[sweep:d{d}-p{p}]\n"
-                "axis = tx_rx_distance\n"
-                "values = 10:700:30\n"
-                "output = outage\n"
-                "engines = both\n"
-                f"d_m = {d}\n"
-                f"p = {p}\n")
-    return "\n".join(parts)
+def _ini(name: str, keys: dict) -> str:
+    return f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
 
 
-def _case2_config() -> str:
-    physics = """\
-[roads]
-lambda_h_per_m = 0.01
-lambda_v_per_m = 0.01
-
-[loss_useful]
-norm = manhattan
-amplitude_a = 3e-5
-alpha = 2
-
-[loss_h]
-norm = euclidean
-amplitude_a = 3e-5
-alpha = 2
-
-[loss_v]
-norm = manhattan
-amplitude_a = 3e-5
-alpha = 2
-
-[fading_useful]
-family = lognormal
-sigma_db = 3.2
-
-[fading_h]
-family = exponential
-theta = 1
-
-[fading_v]
-family = lognormal
-sigma_db = 3.2
-"""
-    parts = [
-        physics,
-        "[mac]\nprotocol = aloha\np = 0.002\n",
-        _LINK_TEMPLATE.format(tx_x=0, tx_y=50, rx_x=10, rx_y=0),
-        "[sim]\nrealizations = 100000\nwindow_half_length_m = 200000\n"
-        "seed = 20260817\nworkers = 4\n",
-        "[output]\nprefix = case2\n",
-    ]
-    for tx_y in (50, 150):
-        for p in ("0.002", "0.02"):
-            parts.append(
-                f"[sweep:ty{tx_y}-p{p}]\n"
-                "axis = rx_to_intersection_d\n"
-                "values = 10:310:25\n"
-                "output = outage\n"
-                "engines = both\n"
-                f"tx_y_m = {tx_y}\n"
-                f"p = {p}\n")
-    return "\n".join(parts)
-
-
-def _fig3_config() -> str:
-    parts = [
-        _PHYSICS_LOS,
-        "[mac]\nprotocol = csma\ndelta_m = 500\n",
-        _LINK_TEMPLATE.format(tx_x=0, tx_y=0, rx_x=10, rx_y=0),
-        "[sim]\nrealizations = 50000\nwindow_half_length_m = 40000\n"
-        "seed = 20260817\nworkers = 4\n",
-        "[output]\nprefix = fig3\n",
-    ]
-    for tx_y in (0, 150):
-        for delta in (500, 10000):
-            parts.append(
-                f"[sweep:ty{tx_y}-delta{delta}]\n"
-                "axis = rx_to_intersection_d\n"
-                "values = 10:610:50\n"
-                "output = outage\n"
-                "engines = both\n"
-                "tx_x_m = 0\n"
-                f"tx_y_m = {tx_y}\n"
-                f"delta_m = {delta}\n")
-    return "\n".join(parts)
-
-
-_FIG4_PA = ("0.001, 0.0014, 0.002, 0.0028, 0.004, 0.0055, 0.0065, 0.008, "
-            "0.011, 0.016, 0.022, 0.03, 0.045, 0.065, 0.09, 0.13, 0.19, 0.3")
-_FIG5_PA = ("0.003, 0.004, 0.0055, 0.0075, 0.01, 0.013, 0.016, 0.019, "
-            "0.0225, 0.027, 0.033, 0.045, 0.065, 0.09, 0.13, 0.2")
-
-
-def _fig4_config() -> str:
-    parts = [
-        _PHYSICS_LOS,
-        "[mac]\nprotocol = aloha\np = 0.005\n",
-        _LINK_TEMPLATE.format(tx_x=100, tx_y=0, rx_x=0, rx_y=0),
-        "[sim]\nrealizations = 20000\nwindow_half_length_m = 200000\n"
-        "seed = 20260817\nworkers = 4\n",
-        "[output]\nprefix = fig4\n",
-    ]
-    for tx_x in (100, 200):
-        parts.append(
-            f"[sweep:r{tx_x}]\n"
-            "axis = access_probability\n"
-            f"values = {_FIG4_PA}\n"
-            "output = outage,throughput\n"
-            "engines = both\n"
-            f"tx_x_m = {tx_x}\n")
-    return "\n".join(parts)
-
-
-def _fig5_config() -> str:
-    parts = [
-        _PHYSICS_LOS,
-        "[mac]\nprotocol = csma\ndelta_m = 500\n",
-        _LINK_TEMPLATE.format(tx_x=0, tx_y=0, rx_x=-100, rx_y=0),
-        "[sim]\nrealizations = 10000\nwindow_half_length_m = 20000\n"
-        "seed = 20260817\nworkers = 4\n",
-        "[output]\nprefix = fig5\n",
-    ]
-    for tx_x in (0, 100):
-        parts.append(
-            f"[sweep:r{tx_x + 100}]\n"
-            "axis = access_probability\n"
-            f"values = {_FIG5_PA}\n"
-            "output = outage,throughput\n"
-            "engines = both\n"
-            f"tx_x_m = {tx_x}\n")
-    return "\n".join(parts)
+def _preset(prefix: str, mac: dict, tx: tuple, rx: tuple, realizations: int,
+            window_m: int, axis: str, values: str, output: str, sweeps: dict,
+            **physics: dict) -> str:
+    """The config text of a figure; sections and keys keep this order."""
+    sections = {
+        "roads": {"lambda_h_per_m": 0.01, "lambda_v_per_m": 0.01},
+        "loss_useful": _LOS, "loss_h": _LOS, "loss_v": _LOS,
+        "fading_useful": _RAYLEIGH, "fading_h": _RAYLEIGH,
+        "fading_v": _RAYLEIGH,
+        **physics,  # an override keeps its section's place
+        "mac": mac,
+        "link": {"tx_x_m": tx[0], "tx_y_m": tx[1], "rx_x_m": rx[0],
+                 "rx_y_m": rx[1], "power_w": 0.1, "noise_dbm": -99,
+                 "beta_db": 8},
+        "sim": {"realizations": realizations, "window_half_length_m": window_m,
+                "seed": 20260817, "workers": 4},
+        "output": {"prefix": prefix},
+        **{f"sweep:{name}": {"axis": axis, "values": values, "output": output,
+                             "engines": "both", **overrides}
+           for name, overrides in sweeps.items()},
+    }
+    return "\n".join(_ini(name, keys) for name, keys in sections.items())
 
 
 PRESETS = {
-    "fig2": _fig2_config,
-    "case2": _case2_config,
-    "fig3": _fig3_config,
-    "fig4": _fig4_config,
-    "fig5": _fig5_config,
+    # Fig. 2, rural Aloha: outage against the tx-rx distance, for
+    # receivers d m from the intersection and three access probabilities.
+    "fig2": dict(
+        mac={"protocol": "aloha", "p": 0.005}, tx=(110, 0), rx=(10, 0),
+        realizations=100000, window_m=400000,
+        axis="tx_rx_distance", values="10:700:30", output="outage",
+        sweeps={f"d{d}-p{p}": {"d_m": d, "p": p}
+                for d in (0, 100, 500) for p in ("0", "0.005", "0.1")}),
+    # Street canyon: Manhattan loss and 3.2 dB shadowing off the H road;
+    # outage against the receiver's distance to the intersection.
+    "case2": dict(
+        mac={"protocol": "aloha", "p": 0.002}, tx=(0, 50), rx=(10, 0),
+        realizations=100000, window_m=200000,
+        axis="rx_to_intersection_d", values="10:310:25", output="outage",
+        sweeps={f"ty{ty}-p{p}": {"tx_y_m": ty, "p": p}
+                for ty in (50, 150) for p in ("0.002", "0.02")},
+        loss_useful={**_LOS, "norm": "manhattan"},
+        loss_v={**_LOS, "norm": "manhattan"},
+        fading_useful={"family": "lognormal", "sigma_db": 3.2},
+        fading_v={"family": "lognormal", "sigma_db": 3.2}),
+    # Fig. 3, CSMA: outage against the receiver's distance to the
+    # intersection, for two transmitters and two sensing ranges.
+    "fig3": dict(
+        mac={"protocol": "csma", "delta_m": 500}, tx=(0, 0), rx=(10, 0),
+        realizations=50000, window_m=40000,
+        axis="rx_to_intersection_d", values="10:610:50", output="outage",
+        sweeps={f"ty{ty}-delta{d}": {"tx_x_m": 0, "tx_y_m": ty, "delta_m": d}
+                for ty in (0, 150) for d in (500, 10000)}),
+    # Fig. 4, Aloha: outage and throughput against the access probability,
+    # for a receiver at the intersection and links 100 and 200 m long.
+    "fig4": dict(
+        mac={"protocol": "aloha", "p": 0.005}, tx=(100, 0), rx=(0, 0),
+        realizations=20000, window_m=200000,
+        axis="access_probability", output="outage,throughput",
+        values="0.001, 0.0014, 0.002, 0.0028, 0.004, 0.0055, 0.0065, 0.008, "
+               "0.011, 0.016, 0.022, 0.03, 0.045, 0.065, 0.09, 0.13, 0.19, 0.3",
+        sweeps={f"r{r}": {"tx_x_m": r} for r in (100, 200)}),
+    # Fig. 5, CSMA: as Fig. 4, for a receiver 100 m before the
+    # intersection and transmitters at and 100 m past it.
+    "fig5": dict(
+        mac={"protocol": "csma", "delta_m": 500}, tx=(0, 0), rx=(-100, 0),
+        realizations=10000, window_m=20000,
+        axis="access_probability", output="outage,throughput",
+        values="0.003, 0.004, 0.0055, 0.0075, 0.01, 0.013, 0.016, 0.019, "
+               "0.0225, 0.027, 0.033, 0.045, 0.065, 0.09, 0.13, 0.2",
+        sweeps={f"r{tx + 100}": {"tx_x_m": tx} for tx in (0, 100)}),
 }
 
 
 def preset_config(name: str) -> str:
-    try:
-        return PRESETS[name]()
-    except KeyError:
+    if name not in PRESETS:
         raise UnknownPreset(
-            f"unknown preset {name!r}" + _suggest(name, PRESETS)) from None
+            f"unknown preset {name!r}" + _suggest(name, PRESETS))
+    return _preset(name, **PRESETS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -1050,7 +943,11 @@ def main(argv=None) -> int:
             print(report)
             return 0 if ok else 1
         if args.command == "fit-erlang":
-            fit = propagation.erlang_fit(args.sigma_db)
+            try:
+                fit = propagation.erlang_fit(args.sigma_db)
+            except ValueError as exc:  # a spread that is not finite and > 0
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             print(f"sigma_db = {args.sigma_db} -> Erlang k = {fit.k}, "
                   f"theta = {fit.theta:.6f}")
             return 0

@@ -41,6 +41,7 @@ computes gains for those nodes only and sums them per realization with
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import sys
 import warnings
@@ -79,11 +80,14 @@ class SimSettings:
 
     def __post_init__(self) -> None:
         if self.realizations < 1:
-            raise ValueError("realizations must be >= 1")
-        if not self.window_half_length > 0:
-            raise ValueError("window_half_length must be positive")
+            raise ValueError(
+                f"realizations must be >= 1, got {self.realizations}")
+        w = self.window_half_length
+        if not (math.isfinite(w) and w > 0):
+            raise ValueError(
+                f"window_half_length must be finite and positive, got {w}")
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -304,47 +308,48 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
                     for road, loss, pos, kept, fad in (
                         ("h", scenario.loss_h, pos_h, kept_h, fad_h),
                         ("v", scenario.loss_v, pos_v, kept_v, fad_v))]
-        gains_cache: dict = {}
-        clear_cache: dict = {}
 
-        def interference(link: LinkSpec) -> np.ndarray:
-            rx_key, tx_key = link.rx.x, (link.tx.x, link.tx.y)
-            if rx_key not in gains_cache:
-                gains_cache[rx_key] = [
-                    _weighted_gains(road, pos, fad, loss, link.rx)
+        @functools.cache
+        def gains(rx: Position) -> list:
+            return [_weighted_gains(road, pos, fad, loss, rx)
                     for road, loss, _, pos, fad in retained]
-            if tx_key not in clear_cache:
-                clear_cache[tx_key] = [
-                    _clear_of_tx(road, pos, link.tx, delta)
+
+        @functools.cache
+        def clear(tx: Position) -> list:
+            return [_clear_of_tx(road, pos, tx, delta)
                     for road, _, _, pos, _ in retained]
+
+        @functools.cache
+        def interference(rx: Position, tx: Position) -> np.ndarray:
             total = np.zeros(nrows)
-            for (_, _, row, _, _), gains, clear in zip(
-                    retained, gains_cache[rx_key], clear_cache[tx_key]):
-                total += np.bincount(row[clear], weights=gains[clear],
+            for (_, _, row, _, _), road_gains, road_clear in zip(
+                    retained, gains(rx), clear(tx)):
+                total += np.bincount(row[road_clear],
+                                     weights=road_gains[road_clear],
                                      minlength=nrows)
             return total
     else:
-        def interference(link: LinkSpec) -> np.ndarray:
+        @functools.cache
+        def interference(rx: Position) -> np.ndarray:
             total = np.zeros(nrows)
             for road, pos, valid, fad, loss in (
                     ("h", pos_h, valid_h, fad_h, scenario.loss_h),
                     ("v", pos_v, valid_v, fad_v, scenario.loss_v)):
                 if pos.shape[1]:
                     total += np.where(
-                        valid, _weighted_gains(road, pos, fad, loss, link.rx),
+                        valid, _weighted_gains(road, pos, fad, loss, rx),
                         0.0).sum(axis=1)
             return total
 
-    interference_cache: dict = {}
     fails = np.zeros(len(links), dtype=np.int64)
     for li, link in enumerate(links):
-        cache_key = (link.rx.x, (link.tx.x, link.tx.y) if is_csma else None)
-        if cache_key not in interference_cache:
-            interference_cache[cache_key] = interference(link)
+        # CSMA's kill disc makes interference depend on the transmitter.
+        total = (interference(link.rx, link.tx) if is_csma
+                 else interference(link.rx))
         gain = path_loss(scenario.loss_useful, link.tx, link.rx)
         tilde_n = link.noise_w / link.power_w
         fails[li] = int(np.count_nonzero(
-            s0 * gain < link.beta * (tilde_n + interference_cache[cache_key])))
+            s0 * gain < link.beta * (tilde_n + total)))
     return fails
 
 

@@ -126,8 +126,9 @@ def erlang_fit(sigma_db: float) -> Erlang:
     best as exponential.
     """
 
-    if not sigma_db > 0:
-        raise ValueError(f"sigma_db must be positive, got {sigma_db}")
+    if not (math.isfinite(sigma_db) and sigma_db > 0):
+        raise ValueError(
+            f"sigma_db must be finite and positive, got {sigma_db}")
     rng = np.random.Generator(np.random.Philox(key=[_FIT_SEED, 0]))
     x = np.exp(rng.standard_normal(_FIT_SAMPLES) * (sigma_db * _DB_TO_LN))
     mean = float(x.mean())

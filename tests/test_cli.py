@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import importlib.util
 import math
 import pathlib
@@ -92,13 +93,25 @@ def read_rows(path):
         return list(reader.fieldnames), list(reader)
 
 
+# sha256 of each preset's config text; a preset CSV is a function of it.
+PRESET_SHA256 = {
+    "fig2": "8a50564cb621f73576e287aa89105ac78b6818f441c6c751ea98e4487c489326",
+    "case2": "afbeb60ec290944e8d4485eebd54d7e832d81a3871b8f0e73da839cccc8c9f4a",
+    "fig3": "e98764fb28b83b21094eeb3bd47c5fb57598e86d78c251d57a933f4158296411",
+    "fig4": "ec49b6c19e7dde090aa640d3efbdc0e68da265dc738309c71ff3b0037267a7d5",
+    "fig5": "0664e34e1f284db07ad570a17aa91770d1a21b2ea9760dd6f3b719c81bc0733f",
+}
+
+
 @pytest.mark.parametrize("name,sweeps", [("fig2", 9), ("case2", 4),
                                          ("fig3", 4), ("fig4", 2),
                                          ("fig5", 2)])
 def test_presets_parse(name, sweeps):
-    plan = parse(preset_config(name))
+    text = preset_config(name)
+    plan = parse(text)
     assert len(plan.sweeps) == sweeps
     assert plan.prefix == name
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[name]
 
 
 def test_unknown_preset_suggests():
@@ -308,6 +321,17 @@ def test_compare_across_engines(tmp_path):
      "axis access_probability and override p both set mac"),
     (lambda t: t + "d_m = 50\nrx_x_m = 20\n",
      "override d_m and override rx_x_m both set rx.x"),
+    # [sim] values outside SimSettings' ranges.
+    (lambda t: t.replace("realizations = 2000", "realizations = 0"),
+     r"\[sim\] realizations must be >= 1, got 0"),
+    (lambda t: t.replace("workers = 1", "workers = 0"),
+     r"\[sim\] workers must be >= 1, got 0"),
+    (lambda t: t.replace("window_half_length_m = 3000",
+                         "window_half_length_m = nan"),
+     r"\[sim\] window_half_length must be finite and positive, got nan"),
+    (lambda t: t.replace("window_half_length_m = 3000",
+                         "window_half_length_m = inf"),
+     r"\[sim\] window_half_length must be finite and positive, got inf"),
 ])
 def test_schema_errors(mutate, match, tmp_path, capsys):
     text = mutate(BASE_CONFIG)
@@ -415,6 +439,13 @@ def test_fit_erlang_subcommand(capsys, make_scenario):
     # The printed surrogate is the one the analytic engine evaluates.
     scen = make_scenario(Aloha(0.01), fading_useful=LogNormal(3.2))
     assert f"theta = {analytic_view(scen).fading_useful.theta:.6f}" in out
+    # A spread that is not finite and positive is a usage error.
+    for sigma_db in ("0", "-1", "nan", "inf"):
+        assert main(["fit-erlang", "--sigma-db", sigma_db]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"error: sigma_db must be finite and positive, "
+                           f"got {float(sigma_db)}\n")
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -34,6 +34,9 @@ def test_sim_settings_validation():
         SimSettings(realizations=10, window_half_length=0.0)
     with pytest.raises(ValueError):
         SimSettings(realizations=10, workers=0)
+    for window in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SimSettings(realizations=10, window_half_length=window)
 
 
 def as_mask(idx, shape):

@@ -122,8 +122,9 @@ def test_erlang_fit_narrow_spread_degenerates():
 
 
 def test_erlang_fit_rejects_bad_input():
-    with pytest.raises(ValueError):
-        erlang_fit(0.0)
+    for sigma_db in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            erlang_fit(sigma_db)
 
 
 def test_erlang_fit_deterministic_default_stream():
