@@ -26,16 +26,20 @@ positions, V positions, [H marks, V marks when CSMA], H fading, V
 fading, useful fading.
 
 Per-chunk work after the draws. Aloha keeps every drawn node (its
-thinning is folded into the draw), so each receiver sums gains over the
-padded (realization x node) arrays. CSMA sorts each road's nodes by
-position once per chunk, and every delta of the group shares that. Then,
-per job, it runs the Matern II kernel once at the job's delta, because
-retention depends on the marks alone; the kernel returns the retained
-nodes' row-major indices, and each link then applies its own
-transmitter's kill disc to those nodes. The retained nodes are gathered
-into flat (realization, position, fading) arrays, so each receiver
-computes gains for those nodes only and sums them per realization with
-``np.bincount``.
+thinning is folded into the draw), so its interference is a sum of gains
+over the padded (realization x node) arrays. It takes one pass per road
+over blocks of whole rows, and evaluates every distinct receiver of the
+job on a block while the block is in cache; each row is still summed
+over its full padded width with padded cells at +0.0, so every
+receiver's totals have the bits of a sum over the whole arrays. CSMA
+sorts each road's nodes by position once per chunk, and every delta of
+the group shares that. Then, per job, it runs the Matern II kernel once
+at the job's delta, because retention depends on the marks alone; the
+kernel returns the retained nodes' row-major indices, and each link then
+applies its own transmitter's kill disc to those nodes. The retained
+nodes are gathered into flat (realization, position, fading) arrays, so
+each receiver computes gains for those nodes only and sums them per
+realization with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,9 @@ _MASK64 = (1 << 64) - 1
 _CELL_BUDGET_IID = 1 << 22
 _CELL_BUDGET_MATERN = 1 << 18
 _MAX_ROWS = 4096
+# Cells per block of the Aloha interference pass (_aloha_interference).
+# Blocks hold whole rows, so the block size does not change the bits.
+_BLOCK_CELLS = 1 << 15
 # Sorted neighbours on each side that the Matern kernel compares a node
 # with before it runs the node's full window query.
 _NEIGHBOUR_SCREEN = 3
@@ -232,24 +239,70 @@ def _plan_rows(scenario: Scenario, settings: SimSettings) -> int:
 
 
 def _weighted_gains(road: str, pos: np.ndarray, fad: np.ndarray,
-                    loss: PathLossSpec, rx: Position) -> np.ndarray:
-    r = _road_distance(road, pos, rx, loss.norm)
-    return fad * (loss.amplitude_a * r ** (-loss.alpha))
+                    loss: PathLossSpec, rx: Position,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """fad * (A * r ** -alpha) at ``rx``, written into ``out`` if given.
+    Every step after the distance works in place on a fresh or the given
+    array; the operands and their order are those of the plain
+    expression, so the bits are too."""
+    g = _road_distance(road, pos, rx, loss.norm, out)
+    g **= -loss.alpha
+    g *= loss.amplitude_a
+    g *= fad
+    return g
 
 
 def _road_distance(road: str, positions: np.ndarray, rx: Position,
-                   norm: str) -> np.ndarray:
+                   norm: str, out: np.ndarray | None = None) -> np.ndarray:
     if road == "h":
-        return np.abs(positions - rx.x)
+        r = np.subtract(positions, rx.x, out=out)
+        return np.abs(r, out=r)
     if norm == EUCLIDEAN:
-        return np.hypot(rx.x, positions)
-    return abs(rx.x) + np.abs(positions)
+        return np.hypot(rx.x, positions, out=out)
+    r = np.abs(positions, out=out)
+    return np.add(abs(rx.x), r, out=r)
+
+
+def _aloha_interference(scenario: Scenario, chunk: _Chunk,
+                        receivers: list[Position]) -> dict:
+    """Per-realization interference at each receiver on one chunk's
+    padded draws, H road then V, as {receiver: totals}.
+
+    Each road is walked once, in blocks of whole rows of about
+    _BLOCK_CELLS cells; every receiver is evaluated on a block while its
+    positions and fading are in cache, into one reused buffer. Padded
+    cells are zeroed in the buffer, and every row is summed over its
+    full padded width, so a receiver's totals do not depend on the block
+    size or on the other receivers."""
+    nrows = chunk.nrows
+    totals = {rx: np.zeros(nrows) for rx in receivers}
+    for road, pos, valid, fad, loss in (
+            ("h", chunk.pos_h, chunk.valid_h, chunk.fad_h, scenario.loss_h),
+            ("v", chunk.pos_v, chunk.valid_v, chunk.fad_v, scenario.loss_v)):
+        cols = pos.shape[1]
+        if not cols:
+            continue
+        pad = ~valid
+        step = max(1, _BLOCK_CELLS // cols)
+        buf = np.empty(min(step, nrows) * cols)
+        for lo in range(0, nrows, step):
+            hi = min(lo + step, nrows)
+            out = buf[:(hi - lo) * cols].reshape(hi - lo, cols)
+            for rx, total in totals.items():
+                _weighted_gains(road, pos[lo:hi], fad[lo:hi], loss, rx, out)
+                np.copyto(out, 0.0, where=pad[lo:hi])
+                total[lo:hi] += out.sum(axis=1)
+    return totals
 
 
 @dataclass(frozen=True)
 class _Chunk:
-    """One chunk's draws, shared by every job of its group. ``packs`` holds
-    the Matern kernel's sorted roads (H, V) under CSMA and is None else."""
+    """One chunk's draws, shared by every job of its group. Positions,
+    validity and fading are padded (realization x node) arrays per road,
+    the valid cells a prefix of each row; no result depends on the draws
+    of a padded cell. ``packs`` holds the Matern kernel's sorted roads
+    (H, V) under CSMA and is None else; Aloha reads the padded arrays in
+    blocks of rows (_aloha_interference)."""
     index: int
     nrows: int
     window: float
@@ -293,8 +346,8 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
                chunk: _Chunk) -> np.ndarray:
     """Failure counts of ``links`` on one chunk's draws."""
     nrows, s0 = chunk.nrows, chunk.s0
-    pos_h, valid_h, fad_h = chunk.pos_h, chunk.valid_h, chunk.fad_h
-    pos_v, valid_v, fad_v = chunk.pos_v, chunk.valid_v, chunk.fad_v
+    pos_h, fad_h = chunk.pos_h, chunk.fad_h
+    pos_v, fad_v = chunk.pos_v, chunk.fad_v
     is_csma = isinstance(scenario.mac, Csma)
     if is_csma:
         delta = scenario.mac.delta
@@ -329,23 +382,14 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
                                      minlength=nrows)
             return total
     else:
-        @functools.cache
-        def interference(rx: Position) -> np.ndarray:
-            total = np.zeros(nrows)
-            for road, pos, valid, fad, loss in (
-                    ("h", pos_h, valid_h, fad_h, scenario.loss_h),
-                    ("v", pos_v, valid_v, fad_v, scenario.loss_v)):
-                if pos.shape[1]:
-                    total += np.where(
-                        valid, _weighted_gains(road, pos, fad, loss, rx),
-                        0.0).sum(axis=1)
-            return total
+        totals = _aloha_interference(scenario, chunk,
+                                     [link.rx for link in links])
 
     fails = np.zeros(len(links), dtype=np.int64)
     for li, link in enumerate(links):
         # CSMA's kill disc makes interference depend on the transmitter.
         total = (interference(link.rx, link.tx) if is_csma
-                 else interference(link.rx))
+                 else totals[link.rx])
         gain = path_loss(scenario.loss_useful, link.tx, link.rx)
         tilde_n = link.noise_w / link.power_w
         fails[li] = int(np.count_nonzero(

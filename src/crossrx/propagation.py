@@ -94,10 +94,16 @@ def sample_fading_array(f: FadingSpec, rng: np.random.Generator,
     unit median.
     """
 
+    # Scaled in place: the same bits as the plain expressions, without a
+    # second full-size array.
     if isinstance(f, Erlang):
-        return rng.standard_gamma(float(f.k), size=shape) * f.theta
+        x = rng.standard_gamma(float(f.k), size=shape)
+        x *= f.theta
+        return x
     if isinstance(f, LogNormal):
-        return np.exp(rng.standard_normal(size=shape) * (f.sigma_db * _DB_TO_LN))
+        x = rng.standard_normal(size=shape)
+        x *= f.sigma_db * _DB_TO_LN
+        return np.exp(x, out=x)
     raise UnsupportedDistribution(f"cannot sample {f!r}")
 
 

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from crossrx import (Aloha, Csma, LogNormal, NoMac, OutageEstimate, Position,
-                     RoadConfig, SimSettings, access_probability,
-                     analytic_view, csma_intensity, reception_probability,
-                     simulate_outage, simulate_outage_sweep, simulate_outages,
+from crossrx import (Aloha, Csma, Erlang, Exponential, LogNormal, NoMac,
+                     OutageEstimate, PathLossSpec, Position, RoadConfig,
+                     SimSettings, access_probability, analytic_view,
+                     csma_intensity, reception_probability,
+                     sample_fading_array, simulate_outage,
+                     simulate_outage_sweep, simulate_outages,
                      simulate_throughput)
-from crossrx.montecarlo import _clear_of_tx, _pack, _plan_rows, _retain
+from crossrx import montecarlo
+from crossrx.model import EUCLIDEAN
+from crossrx.montecarlo import (_aloha_interference, _Chunk, _clear_of_tx,
+                                _pack, _plan_rows, _retain)
 
 
 # modest windows keep these tests quick; the truncation advisory is
@@ -247,6 +252,79 @@ def test_sweep_is_linkwise_identical(make_scenario, make_link):
     sweep = simulate_outage_sweep(scen, links, settings)
     for link, est in zip(links, sweep):
         assert simulate_outage(scen, link, settings).p_out == est.p_out
+
+
+def padded_road(mean, rows, fading, rng, window=5000.0):
+    """One road's draws in the padded (row x max count) layout of a chunk:
+    positions, the valid-cell mask and fading, padded cells included."""
+    counts = rng.poisson(mean, rows)
+    width = int(counts.max())
+    pos = rng.uniform(-window, window, (rows, width))
+    valid = np.arange(width) < counts[:, None]
+    return pos, valid, sample_fading_array(fading, rng, pos.shape)
+
+
+def per_receiver_interference(scen, chunk, rx):
+    """Reference: each road's gains at rx over the whole padded arrays,
+    padded cells masked to 0.0, summed per row, H then V."""
+    total = np.zeros(chunk.nrows)
+    for road, pos, valid, fad, loss in (
+            ("h", chunk.pos_h, chunk.valid_h, chunk.fad_h, scen.loss_h),
+            ("v", chunk.pos_v, chunk.valid_v, chunk.fad_v, scen.loss_v)):
+        if not pos.shape[1]:
+            continue
+        if road == "h":
+            r = np.abs(pos - rx.x)
+        elif loss.norm == EUCLIDEAN:
+            r = np.hypot(rx.x, pos)
+        else:
+            r = abs(rx.x) + np.abs(pos)
+        total += np.where(valid, fad * (loss.amplitude_a * r ** (-loss.alpha)),
+                          0.0).sum(axis=1)
+    return total
+
+
+def loss(norm, alpha):
+    return PathLossSpec(norm=norm, amplitude_a=3e-5, alpha=alpha)
+
+
+@pytest.mark.parametrize("rows, mean_h, mean_v, loss_h, loss_v, fading", [
+    # 700 rows: not a multiple of the rows per block
+    (700, 60.0, 45.0, loss("euclidean", 2.0), loss("euclidean", 2.0),
+     (Exponential(), Exponential())),
+    (700, 60.0, 45.0, loss("manhattan", 3.0), loss("manhattan", 3.0),
+     (Erlang(3, 0.4), LogNormal(3.2))),
+    (500, 0.0, 80.0, loss("euclidean", 3.0), loss("manhattan", 2.0),
+     (Erlang(3, 0.4), LogNormal(3.2))),
+    # H rows wider than a block, no V node in any row
+    (3, 40000.0, 0.0, loss("euclidean", 2.0), loss("euclidean", 3.0),
+     (LogNormal(3.2), Exponential())),
+])
+@pytest.mark.parametrize("block_cells", [None, 7])
+def test_aloha_pass_matches_per_receiver_formula(
+        make_scenario, monkeypatch, rows, mean_h, mean_v, loss_h, loss_v,
+        fading, block_cells):
+    # The blocked pass over all receivers must give every receiver's
+    # per-realization totals bit for bit, whatever the block size.
+    if block_cells is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_CELLS", block_cells)
+    rng = philox(5, rows)
+    pos_h, valid_h, fad_h = padded_road(mean_h, rows, fading[0], rng)
+    pos_v, valid_v, fad_v = padded_road(mean_v, rows, fading[1], rng)
+    assert (pos_h.shape[1] == 0) == (mean_h == 0.0)
+    assert (pos_v.shape[1] == 0) == (mean_v == 0.0)
+    chunk = _Chunk(0, rows, 5000.0, pos_h, pos_v, valid_h, valid_v,
+                   fad_h, fad_v, np.ones(rows), None)
+    scen = make_scenario(Aloha(0.05), loss_h=loss_h, loss_v=loss_v)
+    receivers = [Position(0.0, 0.0), Position(110.0, 0.0),
+                 Position(0.0, 0.0), Position(-37.5, 0.0),
+                 Position(0.0, 50.0), Position(110.0, 0.0)]
+    totals = _aloha_interference(scen, chunk, receivers)
+    assert set(totals) == set(receivers)
+    for rx in receivers:
+        expected = per_receiver_interference(scen, chunk, rx)
+        assert (expected > 0.0).all()
+        assert (totals[rx] == expected).all(), rx
 
 
 def test_csma_failure_counts_are_pinned(make_scenario, make_link):

@@ -105,6 +105,26 @@ def test_sample_fading_array_matches_scalar_law():
     assert arr2.shape == (10,) and (arr2 > 0).all()
 
 
+@pytest.mark.parametrize("fading, plain", [
+    (Exponential(1.3),
+     lambda rng, shape: rng.standard_gamma(1.0, size=shape) * 1.3),
+    (Erlang(3, 0.7),
+     lambda rng, shape: rng.standard_gamma(3.0, size=shape) * 0.7),
+    (LogNormal(3.2),
+     lambda rng, shape: np.exp(rng.standard_normal(size=shape)
+                               * (3.2 * (math.log(10.0) / 10.0)))),
+])
+def test_sample_fading_array_is_bitwise_the_plain_expression(fading, plain):
+    # In-place scaling must not move a bit against the plain expressions
+    # on identically seeded streams.
+    for shape in ((300, 77), (5,)):
+        got = sample_fading_array(
+            fading, np.random.Generator(np.random.Philox(key=[9, 1])), shape)
+        want = plain(np.random.Generator(np.random.Philox(key=[9, 1])), shape)
+        assert got.shape == shape
+        assert (got == want).all()
+
+
 def test_erlang_fit_reference_spread():
     fit = erlang_fit(3.2)
     assert fit.k == 2
