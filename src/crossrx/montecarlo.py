@@ -25,21 +25,24 @@ Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
 fading, useful fading.
 
-Per-chunk work after the draws. Aloha keeps every drawn node (its
-thinning is folded into the draw), so its interference is a sum of gains
-over the padded (realization x node) arrays. It takes one pass per road
-over blocks of whole rows, and evaluates every distinct receiver of the
-job on a block while the block is in cache; each row is still summed
-over its full padded width with padded cells at +0.0, so every
-receiver's totals have the bits of a sum over the whole arrays. CSMA
-sorts each road's nodes by position once per chunk, and every delta of
-the group shares that. Then, per job, it runs the Matern II kernel once
-at the job's delta, because retention depends on the marks alone; the
-kernel returns the retained nodes' row-major indices, and each link then
-applies its own transmitter's kill disc to those nodes. The retained
-nodes are gathered into flat (realization, position, fading) arrays, so
-each receiver computes gains for those nodes only and sums them per
-realization with ``np.bincount``.
+Per-chunk work after the draws. An interferer's gain at a receiver is
+fad * A * r^-alpha, taken as (r^2)^(-alpha / 2) of the squared distance
+with no square root; at alpha = 2 that is one reciprocal per node. The
+useful link keeps ``propagation.path_loss``. Aloha keeps every drawn
+node (its thinning is folded into the draw), so its interference is a
+sum of gains over the padded (realization x node) arrays. It takes one
+pass per road over blocks of whole rows, and evaluates every distinct
+receiver of the job on a block while the block is in cache; each row is
+still summed over its full padded width with padded cells at +0.0, so
+every receiver's totals have the bits of a sum over the whole arrays.
+CSMA sorts each road's nodes by position once per chunk, and every
+delta of the group shares that. Then, per job, it runs the Matern II
+kernel once at the job's delta, because retention depends on the marks
+alone; the kernel returns the retained nodes' row-major indices, and
+each link then applies its own transmitter's kill disc to those nodes.
+The retained nodes are gathered into flat (realization, position,
+fading) arrays, so each receiver computes gains for those nodes only
+and sums them per realization with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -241,26 +244,33 @@ def _plan_rows(scenario: Scenario, settings: SimSettings) -> int:
 def _weighted_gains(road: str, pos: np.ndarray, fad: np.ndarray,
                     loss: PathLossSpec, rx: Position,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """fad * (A * r ** -alpha) at ``rx``, written into ``out`` if given.
-    Every step after the distance works in place on a fresh or the given
-    array; the operands and their order are those of the plain
-    expression, so the bits are too."""
-    g = _road_distance(road, pos, rx, loss.norm, out)
-    g **= -loss.alpha
+    """fad * A * r^-alpha at ``rx``, written into ``out`` if given.
+    The power law is taken of the squared distance, (r^2)^(-alpha / 2),
+    so no cell needs a square root; at alpha = 2 the exponent is -1.0,
+    for which numpy's power is an exact reciprocal. Every step works in
+    place on a fresh or the given array."""
+    g = _road_distance_sq(road, pos, rx, loss.norm, out)
+    g **= -loss.alpha / 2.0
     g *= loss.amplitude_a
     g *= fad
     return g
 
 
-def _road_distance(road: str, positions: np.ndarray, rx: Position,
-                   norm: str, out: np.ndarray | None = None) -> np.ndarray:
+def _road_distance_sq(road: str, positions: np.ndarray, rx: Position,
+                      norm: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distance from ``rx`` on the H road to nodes of ``road``:
+    (z - x)^2 on H, z^2 + x^2 on a Euclidean V road and (|z| + |x|)^2
+    on a Manhattan one."""
     if road == "h":
         r = np.subtract(positions, rx.x, out=out)
-        return np.abs(r, out=r)
-    if norm == EUCLIDEAN:
-        return np.hypot(rx.x, positions, out=out)
-    r = np.abs(positions, out=out)
-    return np.add(abs(rx.x), r, out=r)
+    elif norm == EUCLIDEAN:
+        r = np.square(positions, out=out)
+        r += rx.x * rx.x
+        return r
+    else:
+        r = np.abs(positions, out=out)
+        r += abs(rx.x)
+    return np.square(r, out=r)
 
 
 def _aloha_interference(scenario: Scenario, chunk: _Chunk,

@@ -6,14 +6,16 @@ import pytest
 from crossrx import (Aloha, Csma, Erlang, Exponential, LogNormal, NoMac,
                      OutageEstimate, PathLossSpec, Position, RoadConfig,
                      SimSettings, access_probability, analytic_view,
-                     csma_intensity, reception_probability,
+                     csma_intensity, path_loss, reception_probability,
                      sample_fading_array, simulate_outage,
                      simulate_outage_sweep, simulate_outages,
                      simulate_throughput)
 from crossrx import montecarlo
 from crossrx.model import EUCLIDEAN
 from crossrx.montecarlo import (_aloha_interference, _Chunk, _clear_of_tx,
-                                _pack, _plan_rows, _retain)
+                                _pack, _plan_rows, _retain, _weighted_gains)
+
+from conftest import CANYON
 
 
 # modest windows keep these tests quick; the truncation advisory is
@@ -266,7 +268,8 @@ def padded_road(mean, rows, fading, rng, window=5000.0):
 
 def per_receiver_interference(scen, chunk, rx):
     """Reference: each road's gains at rx over the whole padded arrays,
-    padded cells masked to 0.0, summed per row, H then V."""
+    from the squared distance, padded cells masked to 0.0, summed per
+    row, H then V."""
     total = np.zeros(chunk.nrows)
     for road, pos, valid, fad, loss in (
             ("h", chunk.pos_h, chunk.valid_h, chunk.fad_h, scen.loss_h),
@@ -274,13 +277,15 @@ def per_receiver_interference(scen, chunk, rx):
         if not pos.shape[1]:
             continue
         if road == "h":
-            r = np.abs(pos - rx.x)
+            d = pos - rx.x
+            r_sq = d * d
         elif loss.norm == EUCLIDEAN:
-            r = np.hypot(rx.x, pos)
+            r_sq = pos * pos + rx.x * rx.x
         else:
-            r = abs(rx.x) + np.abs(pos)
-        total += np.where(valid, fad * (loss.amplitude_a * r ** (-loss.alpha)),
-                          0.0).sum(axis=1)
+            d = abs(rx.x) + np.abs(pos)
+            r_sq = d * d
+        gains = fad * (loss.amplitude_a * r_sq ** (-loss.alpha / 2.0))
+        total += np.where(valid, gains, 0.0).sum(axis=1)
     return total
 
 
@@ -318,13 +323,79 @@ def test_aloha_pass_matches_per_receiver_formula(
     scen = make_scenario(Aloha(0.05), loss_h=loss_h, loss_v=loss_v)
     receivers = [Position(0.0, 0.0), Position(110.0, 0.0),
                  Position(0.0, 0.0), Position(-37.5, 0.0),
-                 Position(0.0, 50.0), Position(110.0, 0.0)]
+                 Position(2500.0, 0.0), Position(110.0, 0.0)]
     totals = _aloha_interference(scen, chunk, receivers)
     assert set(totals) == set(receivers)
     for rx in receivers:
         expected = per_receiver_interference(scen, chunk, rx)
         assert (expected > 0.0).all()
         assert (totals[rx] == expected).all(), rx
+
+
+@pytest.mark.parametrize("road, norm", [
+    ("h", "euclidean"), ("h", "manhattan"),
+    ("v", "euclidean"), ("v", "manhattan")])
+@pytest.mark.parametrize("alpha", [2.0, 2.5, 3.0, 4.0])
+def test_weighted_gains_match_the_power_law(road, norm, alpha):
+    # Gains come from the squared distance, (r^2)^(-alpha / 2); they must
+    # agree with fad * (A * r ** -alpha) to within rounding, in the flat
+    # (CSMA) form and written into a block of a larger buffer (Aloha).
+    rng = philox(9, int(alpha * 10))
+    pos = rng.uniform(-400000.0, 400000.0, (6, 40))
+    pos[0, :8] = [0.5, -0.5, 1e-3, 9.5, -9.5, 111.0, -38.0, 3.0]
+    fad = sample_fading_array(Erlang(3, 0.4), rng, pos.shape)
+    loss = PathLossSpec(norm=norm, amplitude_a=3e-5, alpha=alpha)
+    for x in (0.0, 10.0, -37.5, 110.0):
+        rx = Position(x, 0.0)
+        if road == "h":
+            r = np.abs(pos - x)
+        elif norm == EUCLIDEAN:
+            r = np.hypot(x, pos)
+        else:
+            r = abs(x) + np.abs(pos)
+        expected = fad * (loss.amplitude_a * r ** -alpha)
+        flat = _weighted_gains(road, pos.ravel(), fad.ravel(), loss, rx)
+        np.testing.assert_allclose(flat, expected.ravel(), rtol=2e-15, atol=0)
+        buf = np.full(pos.size + 5, np.nan)
+        out = buf[:pos.size].reshape(pos.shape)
+        assert _weighted_gains(road, pos, fad, loss, rx, out) is out
+        np.testing.assert_allclose(out, expected, rtol=2e-15, atol=0)
+        assert np.isnan(buf[pos.size:]).all()
+        for z, f, g in zip(pos[0, :8], fad[0, :8], out[0, :8]):
+            node = Position(z, 0.0) if road == "h" else Position(0.0, z)
+            assert g == pytest.approx(path_loss(loss, node, rx) * f,
+                                      rel=2e-15, abs=0)
+
+
+def test_aloha_failure_counts_are_pinned(make_scenario, make_link):
+    # As for CSMA: these counts move only if the draws, the interference
+    # gains or the SINR count change beyond rounding. Two chunks (4096 +
+    # 904 rows), receivers at, before and past the intersection, worker
+    # counts 1 and 2; a rural LOS road pair, a street canyon with
+    # log-normal shadowing, and an alpha = 3 V road.
+    links = ([make_link((10.0 + 60.0 * i, 0.0), (0.0, 0.0)) for i in range(5)]
+             + [make_link((0.0, 150.0), (0.0, 0.0)),
+                make_link((0.0, 150.0), (200.0, 0.0)),
+                make_link((250.0, 0.0), (110.0, 0.0)),
+                make_link((-137.5, 0.0), (-37.5, 0.0)),
+                make_link((0.0, -40.0), (60.0, 0.0))])
+    shadowed = LogNormal(3.2)
+    pinned = [
+        (make_scenario(Aloha(0.05)),
+         [374, 2112, 3189, 3852, 4274, 3443, 4225, 3263, 2693, 2121]),
+        (make_scenario(Aloha(0.05), loss_useful=CANYON, loss_v=CANYON,
+                       fading_useful=shadowed, fading_v=shadowed),
+         [262, 1735, 2886, 3701, 4203, 3210, 4569, 2797, 2254, 2193]),
+        (make_scenario(Aloha(0.05), loss_v=PathLossSpec(
+            norm="euclidean", amplitude_a=3e-5, alpha=3.0)),
+         [238, 1333, 2149, 2762, 3268, 2377, 3120, 2124, 1718, 1237])]
+    for scen, fails in pinned:
+        for workers in (1, 2):
+            settings = SimSettings(realizations=5000, window_half_length=12000.0,
+                                   seed=13, workers=workers)
+            assert -(-5000 // _plan_rows(scen, settings)) == 2
+            sweep = simulate_outage_sweep(scen, links, settings)
+            assert [round(est.p_out * 5000) for est in sweep] == fails
 
 
 def test_csma_failure_counts_are_pinned(make_scenario, make_link):
