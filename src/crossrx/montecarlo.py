@@ -17,9 +17,11 @@ equal except for delta form one delta-group and share each chunk's
 draws. ``simulate_outages`` takes a batch of (scenario, links) jobs and
 evaluates every chunk of every group on one pool of ``workers``
 threads, so a batch of one-chunk jobs runs in parallel too. Threads only
-decide who evaluates which chunk for which jobs, and each job's failure
-counts are integer sums over its chunks, so any worker count and any
-batch composition produce bit-identical results.
+decide who evaluates which chunk for which jobs (the Matern II retained
+nodes at one delta do not depend on the other deltas evaluated with
+it), and each job's failure counts are integer sums over its chunks, so
+any worker count and any batch composition produce bit-identical
+results.
 
 Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
@@ -35,11 +37,13 @@ pass per road over blocks of whole rows, and evaluates every distinct
 receiver of the job on a block while the block is in cache; each row is
 still summed over its full padded width with padded cells at +0.0, so
 every receiver's totals have the bits of a sum over the whole arrays.
-CSMA sorts each road's nodes by position once per chunk, and every
-delta of the group shares that. Then, per job, it runs the Matern II
-kernel once at the job's delta, because retention depends on the marks
-alone; the kernel returns the retained nodes' row-major indices, and
-each link then applies its own transmitter's kill disc to those nodes.
+CSMA sorts each road's nodes by position and keys them once per chunk,
+and every delta of the group shares that. Then one call of the Matern
+II kernel per task gives the retained nodes' row-major indices at every
+delta of the task's jobs, because retention depends on the marks alone;
+it walks the deltas in increasing order, and each delta only checks the
+survivors of the one before. Each link then applies its own
+transmitter's kill disc to the retained nodes of its job's delta.
 The retained nodes are gathered into flat (realization, position,
 fading) arrays, so each receiver computes gains for those nodes only
 and sums them per realization with ``np.bincount``.
@@ -114,100 +118,129 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
 
 # --- Matern II kernel --------------------------------------------------------
 #
-# Batched over realizations (rows), and run once per chunk and delta:
-# retention depends on the marks alone, so every link of a job shares it
-# and only applies its own transmitter's kill disc afterwards
-# (_clear_of_tx).
+# Batched over realizations (rows), and run once per chunk for all the
+# deltas of a task: retention depends on the marks alone, so every link
+# of a job shares it and only applies its own transmitter's kill disc
+# afterwards (_clear_of_tx).
 #
 # Each road's valid nodes are sorted by position within their row, once
-# per chunk for every delta (_pack). Per delta (_retain) they get one
-# flat key array, key = row * span + position, with span = 2 * bound + 4
-# chosen so rows cannot overlap; every contention window is then a
-# contiguous slice of the sorted marks, and one np.minimum.reduceat over
-# the interleaved window bounds answers "smallest mark in [lo, hi)" for
-# many nodes at once. A node is retained iff its own mark IS the window
-# minimum on its own road (the window includes the node itself, which
-# spares an exclusion pass) and strictly beats the other road's window.
-# Before the own-road query, each node is compared with its
-# _NEIGHBOUR_SCREEN nearest sorted neighbours on each side, using the
-# same key bounds as the query; a node one of them beats is out, and
-# only the rest are queried. The other road's window is the chord
-# centered on the intersection, so it is empty unless |z| <= delta, and
-# it is only queried for those nodes that already won their own road.
-# Retention is a function of marks and positions only, so the sorted
-# evaluation order does not change which fading draw belongs to which
-# node; the retained nodes come back as their indices into the padded
-# (realization x node) arrays, in row-major order.
+# per chunk (_pack), and get one flat key array, key = row * span +
+# position with span = 2 * window + 4. Every window is clipped to
+# [-window - 1, window + 1] of its row, which keeps every node, so rows
+# cannot overlap at any delta and the keys serve every delta. Every
+# contention window is then a contiguous slice of the sorted marks, and
+# one np.minimum.reduceat over the interleaved window bounds answers
+# "smallest mark in [lo, hi)" for many nodes at once. A node is retained
+# iff its own mark IS the window minimum on its own road (the window
+# includes the node itself, which spares an exclusion pass) and strictly
+# beats the other road's window. Before the own-road query, each node
+# is compared with its _NEIGHBOUR_SCREEN nearest queried neighbours on
+# each side, using the same key bounds as the query; a node one of them
+# beats is out, and only the rest are queried. The other road's window
+# is the chord centered on the intersection, so it is empty unless
+# |z| <= delta, and it is only queried for those nodes that already won
+# their own road.
+#
+# The deltas are nested (_retain): windows only grow with delta, and
+# every key bound is a correctly rounded, monotone function of delta,
+# so the survivors at one delta contain those at any larger delta, and
+# each delta after the smallest queries only the survivors of the one
+# before. Retention is a function of marks and positions only, so the
+# sorted evaluation order does not change which fading draw belongs to
+# which node; the retained nodes come back as their indices into the
+# padded (realization x node) arrays, in row-major order.
 
-def _pack(pos: np.ndarray, valid: np.ndarray, marks: np.ndarray) -> dict:
+def _pack(pos: np.ndarray, valid: np.ndarray, marks: np.ndarray,
+          window: float) -> dict:
     """One road's valid nodes sorted by position within their row, as flat
-    arrays: their row, their row-major index into the padded arrays
-    (``flat``), position and mark, the marks followed by a +inf sentinel.
-    Nothing here depends on delta, and nothing changes a pack after it
-    is built, so every delta evaluated on a chunk shares one per road."""
+    arrays: their row-major index into the padded arrays (``flat``),
+    position, row offset, key and mark, the marks followed by a +inf
+    sentinel. ``window`` bounds every |position|. Rows are 2 * window + 4
+    apart in key space, and _retain clips every window to [-edge, edge]
+    with edge = window + 1, so no window reaches into another row at any
+    delta. Nothing here depends on delta, and nothing changes a pack
+    after it is built, so every delta evaluated on a chunk shares one
+    per road."""
     rows, cols = pos.shape
     # Invalid cells sort last, so each row's valid nodes are a prefix.
     order = np.argsort(np.where(valid, pos, np.inf), axis=1)
     counts = np.count_nonzero(valid, axis=1)
     row = np.repeat(np.arange(rows), counts)
     flat = row * cols + order[np.arange(cols) < counts[:, None]]
-    return {"row": row, "flat": flat, "z": pos.ravel()[flat],
+    z = pos.ravel()[flat]
+    off = row * (2.0 * window + 4.0)
+    return {"flat": flat, "z": z, "off": off, "key": z + off,
+            "edge": window + 1.0,
             "mark": np.append(marks.ravel()[flat], np.inf)}
 
 
-def _retain(h: dict, v: dict, delta: float,
-            bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Matern II retained nodes of both packed roads at sensing range
-    delta, as increasing row-major indices into the padded arrays they
-    were packed from.
+def _window_min(pack: dict, lo_key: np.ndarray,
+                hi_key: np.ndarray) -> np.ndarray:
+    """Min mark of ``pack`` with lo_key <= key <= hi_key, +inf if none.
+    reduceat over the interleaved bounds (lo, hi) puts each window's min
+    in the even slots. An odd slot reduces the gap up to the next window,
+    or reads one mark if that window starts sooner; queries come row by
+    row, so the gaps add up to at most one pass over the marks. The +inf
+    sentinel keeps hi == len(key) a valid index."""
+    lo = np.searchsorted(pack["key"], lo_key, side="left")
+    hi = np.searchsorted(pack["key"], hi_key, side="right")
+    mins = np.minimum.reduceat(pack["mark"],
+                               np.stack((lo, hi), axis=1).ravel())
+    return np.where(hi > lo, mins[::2], np.inf)
 
-    The tagged transmitter's kill disc is not applied here. ``bound``
-    must exceed every valid |position| by at least delta: every window
-    then lies within [-bound, bound] of its row, and rows are
-    2 * bound + 4 apart, so no window reaches into another row.
-    """
-    span = 2.0 * bound + 4.0
-    delta_sq = delta * delta
-    roads = []
-    for pack in (h, v):
-        off = pack["row"] * span
-        roads.append((pack, pack["z"] + off, off))
 
-    def window_min(target, lo_key, hi_key) -> np.ndarray:
-        # Min mark on road `target` with lo_key <= key <= hi_key, +inf if
-        # none. reduceat over the interleaved bounds (lo, hi) puts each
-        # window's min in the even slots. An odd slot reduces the gap up
-        # to the next window, or reads one mark if that window starts
-        # sooner; queries come row by row, so the gaps add up to at most
-        # one pass over the marks. The +inf sentinel keeps hi == len(key)
-        # a valid index.
-        pack, key, _ = target
-        lo = np.searchsorted(key, lo_key, side="left")
-        hi = np.searchsorted(key, hi_key, side="right")
-        mins = np.minimum.reduceat(pack["mark"],
-                                   np.stack((lo, hi), axis=1).ravel())
-        return np.where(hi > lo, mins[::2], np.inf)
+def _retain(h: dict, v: dict,
+            deltas: list[float]) -> dict[float, tuple[np.ndarray, np.ndarray]]:
+    """Matern II retained nodes of both packed roads at each sensing
+    range in ``deltas``, as {delta: (kept_h, kept_v)}, each an increasing
+    row-major index array into the padded arrays the roads were packed
+    from. The tagged transmitter's kill disc is not applied here.
 
-    kept = []
-    for own, cross in (roads, roads[::-1]):
-        pack, key, off = own
-        z, mark = pack["z"], pack["mark"][:-1]
-        lo_key, hi_key = (z - delta) + off, (z + delta) + off
-        # A node beaten by one of its nearest neighbours inside its window
-        # cannot win; only the others need the window query.
-        keep = np.ones(z.shape, dtype=bool)
-        for k in range(1, _NEIGHBOUR_SCREEN + 1):
-            keep[k:] &= (key[:-k] < lo_key[k:]) | (mark[:-k] >= mark[k:])
-            keep[:-k] &= (key[k:] > hi_key[:-k]) | (mark[k:] >= mark[:-k])
-        idx = np.flatnonzero(keep)
-        keep[idx] = mark[idx] == window_min(own, lo_key[idx], hi_key[idx])
-        cross_gap = delta_sq - z * z
-        near = np.flatnonzero(keep & (cross_gap >= 0.0))
-        reach = np.sqrt(cross_gap[near])
-        keep[near] = mark[near] < window_min(cross, off[near] - reach,
-                                             off[near] + reach)
-        kept.append(np.sort(pack["flat"][keep]))
-    return kept[0], kept[1]
+    The distinct deltas are walked in increasing order. Every key bound
+    is a correctly rounded, monotone function of delta, so a node's
+    windows at a larger delta contain its windows at a smaller one, and
+    a node retained at a larger delta is retained at every smaller one.
+    The first delta screens and queries every node; each later delta
+    screens and queries only the previous delta's survivors, against the
+    whole road. Each delta's result is therefore the one it gets alone,
+    whatever other deltas share the call."""
+    live = [None, None]  # per road: the previous delta's survivors
+    kept = {}
+    for delta in sorted(set(deltas)):
+        delta_sq = delta * delta
+        for r, (own, cross) in enumerate(((h, v), (v, h))):
+            at = slice(None) if live[r] is None else live[r]
+            z, off, key = own["z"][at], own["off"][at], own["key"][at]
+            mark, edge = own["mark"][:-1][at], own["edge"]
+            lo_key = z - delta
+            np.maximum(lo_key, -edge, out=lo_key)
+            lo_key += off
+            hi_key = z + delta
+            np.minimum(hi_key, edge, out=hi_key)
+            hi_key += off
+            # A node beaten by one of its nearest queried neighbours inside
+            # its window cannot win; only the others need the window query.
+            keep = np.ones(z.shape, dtype=bool)
+            for k in range(1, _NEIGHBOUR_SCREEN + 1):
+                keep[k:] &= (key[:-k] < lo_key[k:]) | (mark[:-k] >= mark[k:])
+                keep[:-k] &= (key[k:] > hi_key[:-k]) | (mark[k:] >= mark[:-k])
+            sel = np.flatnonzero(keep)
+            sel = sel[mark[sel] == _window_min(own, lo_key[sel], hi_key[sel])]
+            # The other road's window is the chord through the
+            # intersection, empty unless |z| <= delta.
+            zs = z[sel]
+            cross_gap = delta_sq - zs * zs
+            near = cross_gap >= 0.0
+            reach = np.minimum(np.sqrt(cross_gap[near]), edge)
+            nodes = sel[near]
+            won = np.ones(sel.shape, dtype=bool)
+            won[near] = mark[nodes] < _window_min(
+                cross, off[nodes] - reach, off[nodes] + reach)
+            sel = sel[won]
+            live[r] = sel if live[r] is None else live[r][sel]
+        kept[delta] = (np.sort(h["flat"][live[0]]),
+                       np.sort(v["flat"][live[1]]))
+    return kept
 
 
 def _clear_of_tx(road: str, pos: np.ndarray, tx: Position,
@@ -312,7 +345,8 @@ class _Chunk:
     the valid cells a prefix of each row; no result depends on the draws
     of a padded cell. ``packs`` holds the Matern kernel's sorted roads
     (H, V) under CSMA and is None else; Aloha reads the padded arrays in
-    blocks of rows (_aloha_interference)."""
+    blocks of rows (_aloha_interference). ``kept`` maps each delta of
+    the task's CSMA jobs to its retained nodes (_retain)."""
     index: int
     nrows: int
     window: float
@@ -324,6 +358,7 @@ class _Chunk:
     fad_v: np.ndarray
     s0: np.ndarray
     packs: tuple[dict, dict] | None
+    kept: dict | None = None
 
 
 def _draw_chunk(scenario: Scenario, settings: SimSettings, chunk_index: int,
@@ -346,8 +381,8 @@ def _draw_chunk(scenario: Scenario, settings: SimSettings, chunk_index: int,
     fad_h = sample_fading_array(scenario.fading_h, rng, (nrows, mh))
     fad_v = sample_fading_array(scenario.fading_v, rng, (nrows, mv))
     s0 = sample_fading_array(scenario.fading_useful, rng, (nrows,))
-    packs = ((_pack(pos_h, valid_h, marks_h), _pack(pos_v, valid_v, marks_v))
-             if is_csma else None)
+    packs = ((_pack(pos_h, valid_h, marks_h, w),
+              _pack(pos_v, valid_v, marks_v, w)) if is_csma else None)
     return _Chunk(chunk_index, nrows, w, pos_h, pos_v, valid_h, valid_v,
                   fad_h, fad_v, s0, packs)
 
@@ -361,8 +396,7 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
     is_csma = isinstance(scenario.mac, Csma)
     if is_csma:
         delta = scenario.mac.delta
-        kept_h, kept_v = _retain(*chunk.packs, delta,
-                                 bound=chunk.window + delta + 2.0)
+        kept_h, kept_v = chunk.kept[delta]
         # Retained nodes only, as flat (row, position, fading) arrays in
         # row-major order, which fixes the order of each bincount sum. A
         # road with no node in any row has width 0 and no index to divide.
@@ -485,7 +519,10 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
     each chunk of a group is drawn once for all of its jobs. A group
     with fewer chunks than ``settings.workers`` splits its jobs into
     ceil(workers / chunks) contiguous slices, one task per (slice,
-    chunk), so that one-chunk groups still fill the pool. The tasks go
+    chunk), so that one-chunk groups still fill the pool. Each CSMA task
+    runs the Matern kernel once for the deltas of its jobs; a delta's
+    retained nodes do not depend on which other deltas share the task,
+    so neither the slices nor the job order change them. The tasks go
     to one pool of ``settings.workers`` threads; with one worker they
     run in the calling thread.
 
@@ -518,6 +555,9 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
         members, idx, nrows = task
         try:
             chunk = _draw_chunk(jobs[members[0]][0], settings, idx, nrows)
+            if chunk.packs is not None:
+                chunk = replace(chunk, kept=_retain(
+                    *chunk.packs, [jobs[job][0].mac.delta for job in members]))
         except Exception as exc:
             return [exc] * len(members)
         outcomes = []

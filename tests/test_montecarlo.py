@@ -63,9 +63,9 @@ def thin_csma(ph, pv, tx, delta, rng):
     extent = max(float(np.abs(ph).max()) if ph.size else 0.0,
                  float(np.abs(pv).max()) if pv.size else 0.0,
                  abs(tx.x), abs(tx.y), delta)
-    kept_h, kept_v = _retain(_pack(ph, np.ones(ph.shape, bool), marks_h),
-                             _pack(pv, np.ones(pv.shape, bool), marks_v),
-                             delta, bound=extent + 2.0)
+    kept_h, kept_v = _retain(
+        _pack(ph, np.ones(ph.shape, bool), marks_h, extent),
+        _pack(pv, np.ones(pv.shape, bool), marks_v, extent), [delta])[delta]
     keep_h = as_mask(kept_h, ph.shape) & _clear_of_tx("h", ph, tx, delta)
     keep_v = as_mask(kept_v, pv.shape) & _clear_of_tx("v", pv, tx, delta)
     return ph[0][keep_h[0]], pv[0][keep_v[0]]
@@ -114,16 +114,16 @@ def test_thin_csma_matches_brute_force(tx):
         np.testing.assert_array_equal(got_v, exp_v)
 
 
-@pytest.mark.parametrize("delta", [30.0, 120.0])
-def test_batched_retention_matches_brute_force(delta):
-    # One padded chunk as the engine lays it out: each row draws its own
-    # counts, so every row but the longest ends in invalid cells, and the
-    # window is only a few delta wide, so many nodes on both roads see the
-    # other road. Invalid cells get mark 0, which would kill their
-    # neighbours if the kernel looked at them. The same H road is then
-    # run again against a V road with no node in any row.
+def padded_chunk(counter):
+    """One padded chunk as the engine lays it out, drawn from stream (31,
+    counter): each row draws its own counts, so every row but the longest
+    ends in invalid cells, and the window is only a few hundred metres
+    wide, so many nodes on both roads see the other road. Invalid cells
+    get mark 0, which would kill their neighbours if the kernel looked at
+    them. Returns the window half-length and, per road, (counts,
+    positions, validity, marks)."""
     lam, window, nrows = 0.05, 300.0, 40
-    rng = philox(31, int(delta))
+    rng = philox(31, counter)
     counts_h = rng.poisson(2.0 * window * lam, nrows)
     counts_v = rng.poisson(2.0 * window * lam, nrows)
     counts_v[3] = 0
@@ -133,17 +133,33 @@ def test_batched_retention_matches_brute_force(delta):
     valid_v = np.arange(pos_v.shape[1]) < counts_v[:, None]
     marks_h = np.where(valid_h, rng.random(pos_h.shape), 0.0)
     marks_v = np.where(valid_v, rng.random(pos_v.shape), 0.0)
+    return (window, (counts_h, pos_h, valid_h, marks_h),
+            (counts_v, pos_v, valid_v, marks_v))
+
+
+def without_nodes(road):
+    """The same road layout with no node in any row."""
+    counts, pos, valid, marks = road
+    return np.zeros_like(counts), pos[:, :0], valid[:, :0], marks[:, :0]
+
+
+@pytest.mark.parametrize("delta", [30.0, 120.0])
+def test_batched_retention_matches_brute_force(delta):
+    # The padded chunk, with a window only a few delta wide; the same H
+    # road is then run again against a V road with no node in any row.
+    window, road_h, road_v = padded_chunk(int(delta))
+    counts_h, pos_h, valid_h, marks_h = road_h
+    counts_v, pos_v, valid_v, marks_v = road_v
+    nrows = len(counts_h)
     assert (~valid_h).any() and (~valid_v).any()
     assert (np.abs(pos_h[valid_h]) <= delta).sum() > nrows
     assert (np.abs(pos_v[valid_v]) <= delta).sum() > nrows
 
-    no_v = (np.zeros_like(counts_v), pos_v[:, :0], valid_v[:, :0],
-            marks_v[:, :0])
-    for counts_v, pos_v, valid_v, marks_v in (
-            (counts_v, pos_v, valid_v, marks_v), no_v):
-        kept_h, kept_v = _retain(_pack(pos_h, valid_h, marks_h),
-                                 _pack(pos_v, valid_v, marks_v), delta,
-                                 bound=window + delta + 2.0)
+    for counts_v, pos_v, valid_v, marks_v in (road_v,
+                                              without_nodes(road_v)):
+        kept_h, kept_v = _retain(_pack(pos_h, valid_h, marks_h, window),
+                                 _pack(pos_v, valid_v, marks_v, window),
+                                 [delta])[delta]
         assert (np.diff(kept_h) > 0).all() and (np.diff(kept_v) > 0).all()
         keep_h = as_mask(kept_h, pos_h.shape)
         keep_v = as_mask(kept_v, pos_v.shape)
@@ -159,6 +175,44 @@ def test_batched_retention_matches_brute_force(delta):
                     marks_v[r, :counts_v[r]], tx, delta)
                 np.testing.assert_array_equal(pos_h[r][got_h[r]], exp_h)
                 np.testing.assert_array_equal(pos_v[r][got_v[r]], exp_v)
+
+
+def test_nested_retention_matches_brute_force():
+    # One call for several deltas, unsorted and with a duplicate, from one
+    # below the node spacing (20 m) to one wider than a whole row (600
+    # m): each delta must get the nodes that a call for it alone and the
+    # per-row brute force give, and the retained sets must shrink as delta
+    # grows. The transmitter is too far away for its kill disc to matter.
+    deltas = [120.0, 5.0, 700.0, 30.0, 120.0, 60.0]
+    far = Position(1e6, 1e6)
+    window, road_h, road_v = padded_chunk(30)
+    counts_h, pos_h, valid_h, marks_h = road_h
+    for counts_v, pos_v, valid_v, marks_v in (road_v,
+                                              without_nodes(road_v)):
+        h = _pack(pos_h, valid_h, marks_h, window)
+        v = _pack(pos_v, valid_v, marks_v, window)
+        kept = _retain(h, v, deltas)
+        assert sorted(kept) == [5.0, 30.0, 60.0, 120.0, 700.0]
+        wider = None
+        for delta in sorted(kept, reverse=True):
+            kept_h, kept_v = kept[delta]
+            alone_h, alone_v = _retain(h, v, [delta])[delta]
+            np.testing.assert_array_equal(kept_h, alone_h)
+            np.testing.assert_array_equal(kept_v, alone_v)
+            keep_h = as_mask(kept_h, pos_h.shape)
+            keep_v = as_mask(kept_v, pos_v.shape)
+            for r in range(len(counts_h)):
+                ph, pv = pos_h[r, :counts_h[r]], pos_v[r, :counts_v[r]]
+                exp_h, exp_v = brute_matern(
+                    ph, pv, marks_h[r, :counts_h[r]],
+                    marks_v[r, :counts_v[r]], far, delta)
+                np.testing.assert_array_equal(pos_h[r][keep_h[r]], exp_h)
+                np.testing.assert_array_equal(pos_v[r][keep_v[r]], exp_v)
+            if wider is not None:
+                assert np.isin(wider[0], kept_h).all()
+                assert np.isin(wider[1], kept_v).all()
+            wider = kept_h, kept_v
+        assert kept[700.0][0].size < kept[60.0][0].size < kept[5.0][0].size
 
 
 def test_thin_csma_retained_density(make_scenario):
@@ -492,6 +546,29 @@ def test_delta_groups_match_one_sweep_per_job(make_scenario, make_link,
                                seed=4, workers=workers)
         assert simulate_outages(jobs, settings) == expected
         assert len(draws) == n_draws
+
+
+def test_nested_deltas_match_one_sweep_per_delta(make_scenario, make_link):
+    # Seven deltas of one one-chunk group, evaluated by one retention call
+    # per task, against one simulate_outage_sweep per delta: at every
+    # worker count the tasks hold other slices of the deltas, and in
+    # reverse job order other deltas share a task, which must not change
+    # any delta's retained nodes. Two transmitters, on each road.
+    links = [make_link((100.0, 0.0), (0.0, 0.0)),
+             make_link((100.0, 0.0), (-50.0, 0.0)),
+             make_link((0.0, 150.0), (60.0, 0.0))]
+    deltas = [300.0, 40.0, 1500.0, 150.0, 800.0, 75.0, 3000.0]
+    jobs = [(make_scenario(Csma(delta)), links) for delta in deltas]
+    base = SimSettings(realizations=800, window_half_length=3000.0, seed=9)
+    assert all(_plan_rows(scen, base) >= 800 for scen, _ in jobs)
+    expected = [simulate_outage_sweep(scen, links, base)
+                for scen, _ in jobs]
+    assert len({tuple(est.p_out for est in job) for job in expected}) == 7
+    for workers in (1, 2, 3, 4):
+        settings = SimSettings(realizations=800, window_half_length=3000.0,
+                               seed=9, workers=workers)
+        assert simulate_outages(jobs, settings) == expected
+        assert simulate_outages(jobs[::-1], settings) == expected[::-1]
 
 
 def test_batch_failure_names_its_job(make_scenario, make_link, monkeypatch):
