@@ -277,6 +277,8 @@ def _parse_sweep(cp, section) -> SweepSpec:
         if out not in _OUTPUT_KINDS:
             raise SchemaError(f"[{section}] unknown output {out!r}"
                               + _suggest(out, _OUTPUT_KINDS))
+        if outputs.count(out) > 1:
+            raise SchemaError(f"[{section}] output {out!r} is repeated")
     engines = _value(cp, section, "engines", str).lower()
     if engines not in _ENGINES:
         raise SchemaError(f"[{section}] unknown engines {engines!r}"
@@ -797,10 +799,11 @@ def compare_files(path_a: str, path_b: str, tol_spec: str) -> tuple[bool, str]:
     Files with the same value columns are compared column by column
     (a regression check).  Otherwise the analytic column of the first
     file is checked against the Monte Carlo column of the second (an
-    engine-agreement check).  Tolerance spec is ``abs:X`` for a plain
-    absolute bound or ``stderr:K`` for K times the Monte Carlo
-    standard error. Every cell must parse as a number; a non-finite
-    value or standard error fails its row.
+    engine-agreement check); the two must hold the same output kind.
+    Tolerance spec is ``abs:X`` for a plain absolute bound or
+    ``stderr:K`` for K times the Monte Carlo standard error. Every cell
+    must parse as a number; a non-finite value or standard error fails
+    its row.
     """
     kind, _, arg = tol_spec.partition(":")
     if kind not in ("abs", "stderr") or not arg:
@@ -834,8 +837,12 @@ def compare_files(path_a: str, path_b: str, tol_spec: str) -> tuple[bool, str]:
     if values_a == values_b and values_a:
         pairs = [(c, c) for c in values_a]
     else:
-        pairs = [(_pick_column(fields_a, "_analytic"),
-                  _pick_column(fields_b, "_mc"))]
+        col_a = _pick_column(fields_a, "_analytic")
+        col_b = _pick_column(fields_b, "_mc")
+        if col_a.rsplit("_", 1)[0] != col_b.rsplit("_", 1)[0]:
+            raise AxisMismatch(
+                f"value columns {col_a} and {col_b} hold different outputs")
+        pairs = [(col_a, col_b)]
     if kind == "stderr":
         if "mc_stderr" in fields_b:
             stderr_rows = rows_b

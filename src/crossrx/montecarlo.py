@@ -27,26 +27,31 @@ Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
 fading, useful fading.
 
-Per-chunk work after the draws. An interferer's gain at a receiver is
-fad * A * r^-alpha, taken as (r^2)^(-alpha / 2) of the squared distance
-with no square root; at alpha = 2 that is one reciprocal per node. The
-useful link keeps ``propagation.path_loss``. Aloha keeps every drawn
-node (its thinning is folded into the draw), so its interference is a
-sum of gains over the padded (realization x node) arrays. It takes one
-pass per road over blocks of whole rows, and evaluates every distinct
-receiver of the job on a block while the block is in cache; each row is
-still summed over its full padded width with padded cells at +0.0, so
+Each road's draws are padded (realization x node) arrays whose rows hold
+their nodes as a prefix. After all of a chunk's draws, every padded
+position is set to +inf; that is the one padding rule. An interferer's
+gain at a receiver is fad * A * r^-alpha, taken as (r^2)^(-alpha / 2)
+of the squared distance with no square root (at alpha = 2 one
+reciprocal per node), so a padded cell's gain is exactly +0.0 on every
+road and norm, and padded cells sort after every node. The useful link
+keeps ``propagation.path_loss``.
+
+Per-chunk work. Aloha keeps every drawn node (its thinning is folded
+into the draw), so its interference is a sum of gains over the padded
+arrays. It takes one pass per road over blocks of whole rows, and
+evaluates every distinct receiver of the job on a block while the block
+is in cache; each row is still summed over its full padded width, so
 every receiver's totals have the bits of a sum over the whole arrays.
-CSMA sorts each road's nodes by position and keys them once per chunk,
-and every delta of the group shares that. Then one call of the Matern
-II kernel per task gives the retained nodes' row-major indices at every
-delta of the task's jobs, because retention depends on the marks alone;
-it walks the deltas in increasing order, and each delta only checks the
+Under CSMA the chunk is drawn and retained in one call: it sorts each
+road's nodes by position and keys them once, and one call of the Matern
+II kernel gives the retained nodes' row-major indices at every delta of
+the task's jobs, because retention depends on the marks alone; it walks
+the deltas in increasing order, and each delta only checks the
 survivors of the one before. Each link then applies its own
-transmitter's kill disc to the retained nodes of its job's delta.
-The retained nodes are gathered into flat (realization, position,
-fading) arrays, so each receiver computes gains for those nodes only
-and sums them per realization with ``np.bincount``.
+transmitter's kill disc to the retained nodes of its job's delta. The
+retained nodes are gathered into flat (realization, position, fading)
+arrays, so each receiver computes gains for those nodes only and sums
+them per realization with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ _BLOCK_CELLS = 1 << 15
 # Sorted neighbours on each side that the Matern kernel compares a node
 # with before it runs the node's full window query.
 _NEIGHBOUR_SCREEN = 3
+_ROADS = ("h", "v")
 
 
 @dataclass(frozen=True)
@@ -123,11 +129,13 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
 # of a job shares it and only applies its own transmitter's kill disc
 # afterwards (_clear_of_tx).
 #
-# Each road's valid nodes are sorted by position within their row, once
-# per chunk (_pack), and get one flat key array, key = row * span +
-# position with span = 2 * window + 4. Every window is clipped to
-# [-window - 1, window + 1] of its row, which keeps every node, so rows
-# cannot overlap at any delta and the keys serve every delta. Every
+# Each road's nodes are sorted by position within their row, once per
+# chunk (_pack); padded cells sit at +inf, so they sort last and each
+# row's nodes stay a prefix. The nodes get one flat key array, key =
+# row * span + position with span = 2 * window + 4. Every window is
+# clipped to [-window - 1, window + 1] of its row, which keeps every
+# node, so rows cannot overlap at any delta and the keys serve every
+# delta. Every
 # contention window is then a contiguous slice of the sorted marks, and
 # one np.minimum.reduceat over the interleaved window bounds answers
 # "smallest mark in [lo, hi)" for many nodes at once. A node is retained
@@ -150,21 +158,20 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
 # which node; the retained nodes come back as their indices into the
 # padded (realization x node) arrays, in row-major order.
 
-def _pack(pos: np.ndarray, valid: np.ndarray, marks: np.ndarray,
+def _pack(pos: np.ndarray, counts: np.ndarray, marks: np.ndarray,
           window: float) -> dict:
-    """One road's valid nodes sorted by position within their row, as flat
-    arrays: their row-major index into the padded arrays (``flat``),
-    position, row offset, key and mark, the marks followed by a +inf
-    sentinel. ``window`` bounds every |position|. Rows are 2 * window + 4
-    apart in key space, and _retain clips every window to [-edge, edge]
-    with edge = window + 1, so no window reaches into another row at any
-    delta. Nothing here depends on delta, and nothing changes a pack
-    after it is built, so every delta evaluated on a chunk shares one
-    per road."""
+    """One road's nodes, the first ``counts`` cells of each row of the
+    padded ``pos`` (padded cells at +inf, so they sort last), sorted by
+    position within their row, as flat arrays: their row-major index
+    into the padded arrays (``flat``), position, row offset, key and
+    mark, the marks followed by a +inf sentinel. ``window`` bounds every
+    finite |position|. Rows are 2 * window + 4 apart in key space, and
+    _retain clips every window to [-edge, edge] with edge = window + 1,
+    so no window reaches into another row at any delta. Nothing here
+    depends on delta, and nothing changes a pack after it is built, so
+    every delta evaluated on a chunk shares one per road."""
     rows, cols = pos.shape
-    # Invalid cells sort last, so each row's valid nodes are a prefix.
-    order = np.argsort(np.where(valid, pos, np.inf), axis=1)
-    counts = np.count_nonzero(valid, axis=1)
+    order = np.argsort(pos, axis=1)
     row = np.repeat(np.arange(rows), counts)
     flat = row * cols + order[np.arange(cols) < counts[:, None]]
     z = pos.ravel()[flat]
@@ -266,7 +273,7 @@ def _effective_lambda(scenario: Scenario, road: str) -> float:
 
 def _plan_rows(scenario: Scenario, settings: SimSettings) -> int:
     est_cells = 0
-    for road in ("h", "v"):
+    for road in _ROADS:
         mean = 2.0 * settings.window_half_length * _effective_lambda(scenario, road)
         est_cells += int(mean + 10.0 * math.sqrt(mean) + 16.0)
     budget = (_CELL_BUDGET_MATERN if isinstance(scenario.mac, Csma)
@@ -314,18 +321,16 @@ def _aloha_interference(scenario: Scenario, chunk: _Chunk,
     Each road is walked once, in blocks of whole rows of about
     _BLOCK_CELLS cells; every receiver is evaluated on a block while its
     positions and fading are in cache, into one reused buffer. Padded
-    cells are zeroed in the buffer, and every row is summed over its
+    cells, at +inf, have gain +0.0, and every row is summed over its
     full padded width, so a receiver's totals do not depend on the block
     size or on the other receivers."""
-    nrows = chunk.nrows
+    nrows = len(chunk.s0)
     totals = {rx: np.zeros(nrows) for rx in receivers}
-    for road, pos, valid, fad, loss in (
-            ("h", chunk.pos_h, chunk.valid_h, chunk.fad_h, scenario.loss_h),
-            ("v", chunk.pos_v, chunk.valid_v, chunk.fad_v, scenario.loss_v)):
+    for road, pos, fad, loss in zip(_ROADS, chunk.pos, chunk.fad,
+                                    (scenario.loss_h, scenario.loss_v)):
         cols = pos.shape[1]
         if not cols:
             continue
-        pad = ~valid
         step = max(1, _BLOCK_CELLS // cols)
         buf = np.empty(min(step, nrows) * cols)
         for lo in range(0, nrows, step):
@@ -333,78 +338,65 @@ def _aloha_interference(scenario: Scenario, chunk: _Chunk,
             out = buf[:(hi - lo) * cols].reshape(hi - lo, cols)
             for rx, total in totals.items():
                 _weighted_gains(road, pos[lo:hi], fad[lo:hi], loss, rx, out)
-                np.copyto(out, 0.0, where=pad[lo:hi])
                 total[lo:hi] += out.sum(axis=1)
     return totals
 
 
 @dataclass(frozen=True)
 class _Chunk:
-    """One chunk's draws, shared by every job of its group. Positions,
-    validity and fading are padded (realization x node) arrays per road,
-    the valid cells a prefix of each row; no result depends on the draws
-    of a padded cell. ``packs`` holds the Matern kernel's sorted roads
-    (H, V) under CSMA and is None else; Aloha reads the padded arrays in
-    blocks of rows (_aloha_interference). ``kept`` maps each delta of
-    the task's CSMA jobs to its retained nodes (_retain)."""
+    """One chunk's draws, shared by every job of its task. ``pos`` and
+    ``fad`` are per-road (H, V) padded (realization x node) arrays, each
+    row's nodes a prefix and its padded positions +inf; ``s0`` is the
+    useful link's fading per realization. Under CSMA ``kept`` maps each
+    delta of the task's jobs to its retained nodes (_retain); it is None
+    else."""
     index: int
-    nrows: int
-    window: float
-    pos_h: np.ndarray
-    pos_v: np.ndarray
-    valid_h: np.ndarray
-    valid_v: np.ndarray
-    fad_h: np.ndarray
-    fad_v: np.ndarray
+    pos: tuple[np.ndarray, np.ndarray]
+    fad: tuple[np.ndarray, np.ndarray]
     s0: np.ndarray
-    packs: tuple[dict, dict] | None
-    kept: dict | None = None
+    kept: dict | None
 
 
-def _draw_chunk(scenario: Scenario, settings: SimSettings, chunk_index: int,
-                nrows: int) -> _Chunk:
+def _draw_chunk(scenarios: list[Scenario], settings: SimSettings,
+                chunk_index: int, nrows: int) -> _Chunk:
+    """Chunk ``chunk_index`` of a task whose jobs have ``scenarios``, all
+    of one group, so that they share the draws; under CSMA it is also
+    retained at every delta of the task's jobs."""
+    scenario = scenarios[0]
     rng = _stream(settings.seed, chunk_index)
     w = settings.window_half_length
     is_csma = isinstance(scenario.mac, Csma)
 
-    counts_h = rng.poisson(2.0 * w * _effective_lambda(scenario, "h"), nrows)
-    counts_v = rng.poisson(2.0 * w * _effective_lambda(scenario, "v"), nrows)
-    mh = int(counts_h.max()) if nrows else 0
-    mv = int(counts_v.max()) if nrows else 0
-    pos_h = rng.uniform(-w, w, (nrows, mh))
-    pos_v = rng.uniform(-w, w, (nrows, mv))
-    valid_h = np.arange(mh) < counts_h[:, None]
-    valid_v = np.arange(mv) < counts_v[:, None]
-    if is_csma:
-        marks_h = rng.random((nrows, mh))
-        marks_v = rng.random((nrows, mv))
-    fad_h = sample_fading_array(scenario.fading_h, rng, (nrows, mh))
-    fad_v = sample_fading_array(scenario.fading_v, rng, (nrows, mv))
+    counts = [rng.poisson(2.0 * w * _effective_lambda(scenario, road), nrows)
+              for road in _ROADS]
+    pos = [rng.uniform(-w, w, (nrows, int(c.max(initial=0)))) for c in counts]
+    marks = [rng.random(p.shape) for p in pos] if is_csma else None
+    fad = tuple(sample_fading_array(f, rng, p.shape)
+                for f, p in zip((scenario.fading_h, scenario.fading_v), pos))
     s0 = sample_fading_array(scenario.fading_useful, rng, (nrows,))
-    packs = ((_pack(pos_h, valid_h, marks_h, w),
-              _pack(pos_v, valid_v, marks_v, w)) if is_csma else None)
-    return _Chunk(chunk_index, nrows, w, pos_h, pos_v, valid_h, valid_v,
-                  fad_h, fad_v, s0, packs)
+    for p, c in zip(pos, counts):
+        p[np.arange(p.shape[1]) >= c[:, None]] = np.inf
+    kept = (_retain(*map(_pack, pos, counts, marks, (w, w)),
+                    [s.mac.delta for s in scenarios]) if is_csma else None)
+    return _Chunk(chunk_index, tuple(pos), fad, s0, kept)
 
 
 def _job_chunk(scenario: Scenario, links: list[LinkSpec],
                chunk: _Chunk) -> np.ndarray:
     """Failure counts of ``links`` on one chunk's draws."""
-    nrows, s0 = chunk.nrows, chunk.s0
-    pos_h, fad_h = chunk.pos_h, chunk.fad_h
-    pos_v, fad_v = chunk.pos_v, chunk.fad_v
+    s0 = chunk.s0
+    nrows = len(s0)
     is_csma = isinstance(scenario.mac, Csma)
     if is_csma:
         delta = scenario.mac.delta
-        kept_h, kept_v = chunk.kept[delta]
         # Retained nodes only, as flat (row, position, fading) arrays in
         # row-major order, which fixes the order of each bincount sum. A
         # road with no node in any row has width 0 and no index to divide.
         retained = [(road, loss, kept // max(pos.shape[1], 1),
                      pos.ravel()[kept], fad.ravel()[kept])
-                    for road, loss, pos, kept, fad in (
-                        ("h", scenario.loss_h, pos_h, kept_h, fad_h),
-                        ("v", scenario.loss_v, pos_v, kept_v, fad_v))]
+                    for road, loss, pos, fad, kept in zip(
+                        _ROADS, (scenario.loss_h, scenario.loss_v),
+                        chunk.pos, chunk.fad, chunk.kept[delta])]
 
         @functools.cache
         def gains(rx: Position) -> list:
@@ -465,7 +457,7 @@ def _truncation_warnings(scenario: Scenario, links: list[LinkSpec],
         return
     tail = 0.0
     mac = scenario.mac
-    for road, loss in (("h", scenario.loss_h), ("v", scenario.loss_v)):
+    for road, loss in zip(_ROADS, (scenario.loss_h, scenario.loss_v)):
         lam = scenario.roads.density(road)
         if isinstance(mac, Aloha):
             lam_far = mac.p * lam
@@ -554,10 +546,8 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
         # Each job's failure counts or exception, in the task's job order.
         members, idx, nrows = task
         try:
-            chunk = _draw_chunk(jobs[members[0]][0], settings, idx, nrows)
-            if chunk.packs is not None:
-                chunk = replace(chunk, kept=_retain(
-                    *chunk.packs, [jobs[job][0].mac.delta for job in members]))
+            chunk = _draw_chunk([jobs[job][0] for job in members], settings,
+                                idx, nrows)
         except Exception as exc:
             return [exc] * len(members)
         outcomes = []

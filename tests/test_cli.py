@@ -253,8 +253,13 @@ COMPARE_B = ("distance_m,outage_mc,mc_stderr\n"
      "tolerance 'stderr:inf' must be finite and nonnegative"),
     (COMPARE_A, COMPARE_B, "abs:-1", 2,
      "tolerance 'abs:-1' must be finite and nonnegative"),
+    # Equal values, but an outage column against a throughput column.
+    (COMPARE_A, COMPARE_B.replace("outage_mc", "throughput_mc")
+     .replace("0.101", "0.1").replace("0.199", "0.2"), "stderr:3", 2,
+     "value columns outage_analytic and throughput_mc hold different "
+     "outputs"),
 ], ids=["pass", "nan-value", "inf-stderr", "non-numeric", "no-rows",
-        "abs-nan", "stderr-inf", "abs-negative"])
+        "abs-nan", "stderr-inf", "abs-negative", "different-outputs"])
 def test_compare_checks_its_input(tmp_path, capsys, a, b, tol, code, message):
     (tmp_path / "a.csv").write_text(a)
     (tmp_path / "b.csv").write_text(b)
@@ -300,6 +305,8 @@ def test_compare_across_engines(tmp_path):
      "did you mean 'montecarlo'"),
     (lambda t: t.replace("axis = tx_rx_distance", "axis = distance"),
      "unknown axis"),
+    (lambda t: t.replace("output = outage", "output = outage, outage"),
+     r"\[sweep:main\] output 'outage' is repeated"),
     (lambda t: t.replace("family = exponential\ntheta = 1\n\n[fading_h]",
                          "family = exponential\nsigma_db = 3\n\n[fading_h]"),
      "exponential takes only theta"),

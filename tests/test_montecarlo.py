@@ -13,7 +13,8 @@ from crossrx import (Aloha, Csma, Erlang, Exponential, LogNormal, NoMac,
 from crossrx import montecarlo
 from crossrx.model import EUCLIDEAN
 from crossrx.montecarlo import (_aloha_interference, _Chunk, _clear_of_tx,
-                                _pack, _plan_rows, _retain, _weighted_gains)
+                                _draw_chunk, _effective_lambda, _pack,
+                                _plan_rows, _retain, _weighted_gains)
 
 from conftest import CANYON
 
@@ -64,8 +65,8 @@ def thin_csma(ph, pv, tx, delta, rng):
                  float(np.abs(pv).max()) if pv.size else 0.0,
                  abs(tx.x), abs(tx.y), delta)
     kept_h, kept_v = _retain(
-        _pack(ph, np.ones(ph.shape, bool), marks_h, extent),
-        _pack(pv, np.ones(pv.shape, bool), marks_v, extent), [delta])[delta]
+        _pack(ph, np.array([ph.size]), marks_h, extent),
+        _pack(pv, np.array([pv.size]), marks_v, extent), [delta])[delta]
     keep_h = as_mask(kept_h, ph.shape) & _clear_of_tx("h", ph, tx, delta)
     keep_v = as_mask(kept_v, pv.shape) & _clear_of_tx("v", pv, tx, delta)
     return ph[0][keep_h[0]], pv[0][keep_v[0]]
@@ -118,10 +119,11 @@ def padded_chunk(counter):
     """One padded chunk as the engine lays it out, drawn from stream (31,
     counter): each row draws its own counts, so every row but the longest
     ends in invalid cells, and the window is only a few hundred metres
-    wide, so many nodes on both roads see the other road. Invalid cells
-    get mark 0, which would kill their neighbours if the kernel looked at
-    them. Returns the window half-length and, per road, (counts,
-    positions, validity, marks)."""
+    wide, so many nodes on both roads see the other road. After the
+    draws, invalid cells get position +inf, as in the engine, and mark 0,
+    which would kill their neighbours if the kernel looked at them.
+    Returns the window half-length and, per road, (counts, positions,
+    validity, marks)."""
     lam, window, nrows = 0.05, 300.0, 40
     rng = philox(31, counter)
     counts_h = rng.poisson(2.0 * window * lam, nrows)
@@ -133,6 +135,8 @@ def padded_chunk(counter):
     valid_v = np.arange(pos_v.shape[1]) < counts_v[:, None]
     marks_h = np.where(valid_h, rng.random(pos_h.shape), 0.0)
     marks_v = np.where(valid_v, rng.random(pos_v.shape), 0.0)
+    pos_h[~valid_h] = np.inf
+    pos_v[~valid_v] = np.inf
     return (window, (counts_h, pos_h, valid_h, marks_h),
             (counts_v, pos_v, valid_v, marks_v))
 
@@ -157,8 +161,8 @@ def test_batched_retention_matches_brute_force(delta):
 
     for counts_v, pos_v, valid_v, marks_v in (road_v,
                                               without_nodes(road_v)):
-        kept_h, kept_v = _retain(_pack(pos_h, valid_h, marks_h, window),
-                                 _pack(pos_v, valid_v, marks_v, window),
+        kept_h, kept_v = _retain(_pack(pos_h, counts_h, marks_h, window),
+                                 _pack(pos_v, counts_v, marks_v, window),
                                  [delta])[delta]
         assert (np.diff(kept_h) > 0).all() and (np.diff(kept_v) > 0).all()
         keep_h = as_mask(kept_h, pos_h.shape)
@@ -189,8 +193,8 @@ def test_nested_retention_matches_brute_force():
     counts_h, pos_h, valid_h, marks_h = road_h
     for counts_v, pos_v, valid_v, marks_v in (road_v,
                                               without_nodes(road_v)):
-        h = _pack(pos_h, valid_h, marks_h, window)
-        v = _pack(pos_v, valid_v, marks_v, window)
+        h = _pack(pos_h, counts_h, marks_h, window)
+        v = _pack(pos_v, counts_v, marks_v, window)
         kept = _retain(h, v, deltas)
         assert sorted(kept) == [5.0, 30.0, 60.0, 120.0, 700.0]
         wider = None
@@ -312,22 +316,25 @@ def test_sweep_is_linkwise_identical(make_scenario, make_link):
 
 def padded_road(mean, rows, fading, rng, window=5000.0):
     """One road's draws in the padded (row x max count) layout of a chunk:
-    positions, the valid-cell mask and fading, padded cells included."""
+    positions with padded cells at +inf, the valid-cell mask and fading,
+    padded cells included."""
     counts = rng.poisson(mean, rows)
     width = int(counts.max())
     pos = rng.uniform(-window, window, (rows, width))
     valid = np.arange(width) < counts[:, None]
-    return pos, valid, sample_fading_array(fading, rng, pos.shape)
+    fad = sample_fading_array(fading, rng, pos.shape)
+    pos[~valid] = np.inf
+    return pos, valid, fad
 
 
-def per_receiver_interference(scen, chunk, rx):
+def per_receiver_interference(scen, chunk, valid, rx):
     """Reference: each road's gains at rx over the whole padded arrays,
-    from the squared distance, padded cells masked to 0.0, summed per
-    row, H then V."""
-    total = np.zeros(chunk.nrows)
-    for road, pos, valid, fad, loss in (
-            ("h", chunk.pos_h, chunk.valid_h, chunk.fad_h, scen.loss_h),
-            ("v", chunk.pos_v, chunk.valid_v, chunk.fad_v, scen.loss_v)):
+    from the squared distance, cells outside the per-road masks ``valid``
+    set to 0.0, summed per row, H then V."""
+    total = np.zeros(len(chunk.s0))
+    for road, pos, valid, fad, loss in zip(
+            ("h", "v"), chunk.pos, valid, chunk.fad,
+            (scen.loss_h, scen.loss_v)):
         if not pos.shape[1]:
             continue
         if road == "h":
@@ -372,8 +379,7 @@ def test_aloha_pass_matches_per_receiver_formula(
     pos_v, valid_v, fad_v = padded_road(mean_v, rows, fading[1], rng)
     assert (pos_h.shape[1] == 0) == (mean_h == 0.0)
     assert (pos_v.shape[1] == 0) == (mean_v == 0.0)
-    chunk = _Chunk(0, rows, 5000.0, pos_h, pos_v, valid_h, valid_v,
-                   fad_h, fad_v, np.ones(rows), None)
+    chunk = _Chunk(0, (pos_h, pos_v), (fad_h, fad_v), np.ones(rows), None)
     scen = make_scenario(Aloha(0.05), loss_h=loss_h, loss_v=loss_v)
     receivers = [Position(0.0, 0.0), Position(110.0, 0.0),
                  Position(0.0, 0.0), Position(-37.5, 0.0),
@@ -381,7 +387,8 @@ def test_aloha_pass_matches_per_receiver_formula(
     totals = _aloha_interference(scen, chunk, receivers)
     assert set(totals) == set(receivers)
     for rx in receivers:
-        expected = per_receiver_interference(scen, chunk, rx)
+        expected = per_receiver_interference(scen, chunk,
+                                             (valid_h, valid_v), rx)
         assert (expected > 0.0).all()
         assert (totals[rx] == expected).all(), rx
 
@@ -419,6 +426,45 @@ def test_weighted_gains_match_the_power_law(road, norm, alpha):
             node = Position(z, 0.0) if road == "h" else Position(0.0, z)
             assert g == pytest.approx(path_loss(loss, node, rx) * f,
                                       rel=2e-15, abs=0)
+        # Padded cells sit at +inf: their gain is exactly +0.0, and no
+        # floating-point exception is raised on the way.
+        padded = np.full(pos.shape, np.inf)
+        with np.errstate(all="raise"):
+            flat = _weighted_gains(road, padded.ravel(), fad.ravel(), loss, rx)
+            assert _weighted_gains(road, padded, fad, loss, rx, out) is out
+        for g in (flat, out):
+            assert (g == 0.0).all() and not np.signbit(g).any()
+
+
+@pytest.mark.parametrize("macs", [[Aloha(0.3)], [Csma(150.0), Csma(400.0)]])
+def test_draw_chunk_pads_with_inf(make_scenario, macs):
+    # In each row the first count cells hold the row's nodes, inside the
+    # window, and every padded cell after them is +inf. The counts are
+    # the first two draws of the chunk's stream. A CSMA chunk comes back
+    # retained at the delta of every scenario it was drawn for, and every
+    # retained index points at a node.
+    scenarios = [make_scenario(mac) for mac in macs]
+    settings = SimSettings(realizations=50, window_half_length=2000.0, seed=6)
+    w, rows = settings.window_half_length, 50
+    chunk = _draw_chunk(scenarios, settings, 3, rows)
+    assert chunk.index == 3 and chunk.s0.shape == (rows,)
+    rng = philox(6, 3)
+    for road, pos, fad in zip(("h", "v"), chunk.pos, chunk.fad):
+        counts = rng.poisson(2.0 * w * _effective_lambda(scenarios[0], road),
+                             rows)
+        assert pos.shape == fad.shape == (rows, counts.max())
+        assert (counts < counts.max()).any()
+        valid = np.arange(pos.shape[1]) < counts[:, None]
+        assert (np.abs(pos[valid]) <= w).all()
+        assert (pos[~valid] == np.inf).all()
+    if isinstance(macs[0], Csma):
+        assert sorted(chunk.kept) == [150.0, 400.0]
+        for kept in chunk.kept.values():
+            for pos, road_kept in zip(chunk.pos, kept):
+                assert road_kept.size
+                assert np.isfinite(pos.ravel()[road_kept]).all()
+    else:
+        assert chunk.kept is None
 
 
 def test_aloha_failure_counts_are_pinned(make_scenario, make_link):
@@ -533,9 +579,9 @@ def test_delta_groups_match_one_sweep_per_job(make_scenario, make_link,
     draw_chunk = montecarlo._draw_chunk
     draws = []
 
-    def counting(scenario, settings, chunk_index, nrows):
+    def counting(scenarios, settings, chunk_index, nrows):
         draws.append(chunk_index)
-        return draw_chunk(scenario, settings, chunk_index, nrows)
+        return draw_chunk(scenarios, settings, chunk_index, nrows)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
     # Draws per worker count: the delta group's 2 chunks once per slice,
