@@ -4,9 +4,9 @@ two-road intersection.
 An analytic Laplace-transform pipeline plus a Monte Carlo oracle, driven
 by a config/preset CLI."""
 
-from .analytic import (EvalContext, InterferenceLT, WrongScenario,
-                       analytic_view, eval_context, lt_interference_generic,
-                       reception_probability, road_lt, throughput)
+from .analytic import (InterferenceLT, WrongScenario, analytic_view,
+                       lt_interference_generic, reception_probability,
+                       road_lt, throughput)
 from .mac import (OffRoadPosition, WrongMac, access_probability,
                   access_probability_at, aloha_intensity, contention_mass,
                   csma_intensity)
@@ -14,8 +14,7 @@ from .model import (Aloha, Csma, Erlang, Exponential, LinkSpec, LogNormal,
                     NoMac, PathLossSpec, Position, RoadConfig, Scenario,
                     ValidationReport, distance, swap_roads, validate)
 from .montecarlo import (OutageEstimate, SimSettings, simulate_outage,
-                         simulate_outage_sweep, simulate_outages,
-                         simulate_throughput)
+                         simulate_outage_sweep, simulate_outages)
 from .numerics import (NonConvergence, OrderTooHigh, PoleError,
                        ToleranceNotMet, derivative_n, gamma_fn,
                        hyp2f1_regularized, integrate_line, pochhammer)

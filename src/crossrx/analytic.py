@@ -43,7 +43,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from scipy.special import betainc
 
@@ -63,20 +63,6 @@ class WrongScenario(TypeError):
 
 
 @dataclass(frozen=True)
-class EvalContext:
-    """The three recurring scalars of the reception pipeline.
-
-    tilde_beta = beta / l(tx, rx) is the threshold renormalized by the
-    useful link's path gain; tilde_n = N / P; zeta = tilde_beta / theta_0
-    (defined when the useful fading is Erlang).
-    """
-
-    tilde_beta: float
-    tilde_n: float
-    zeta: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class InterferenceLT:
     """Laplace transform L(s) = exp(-G(s)) of one road's interference.
 
@@ -87,7 +73,6 @@ class InterferenceLT:
     """
 
     exponent: Callable[[float, int], list[float]]
-    road: str
     provenance: str  # "closed-form" | "quadrature"
 
     def __call__(self, s: float) -> float:
@@ -108,16 +93,6 @@ class InterferenceLT:
             out.append(-sum(math.comb(i - 1, j) * g[j + 1] * out[i - 1 - j]
                             for j in range(i)))
         return out
-
-
-def eval_context(scenario: Scenario, link: LinkSpec) -> EvalContext:
-    l_useful = path_loss(scenario.loss_useful, link.tx, link.rx)
-    tilde_beta = link.beta / l_useful
-    tilde_n = link.noise_w / link.power_w
-    zeta = None
-    if isinstance(scenario.fading_useful, Erlang):
-        zeta = tilde_beta / scenario.fading_useful.theta
-    return EvalContext(tilde_beta=tilde_beta, tilde_n=tilde_n, zeta=zeta)
 
 
 # --- per-road exponents -----------------------------------------------------
@@ -323,8 +298,7 @@ def road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
 
     mac = scenario.mac
     if isinstance(mac, NoMac) or (isinstance(mac, Aloha) and mac.p == 0.0):
-        return InterferenceLT(lambda s, n: [0.0] * (n + 1), road,
-                              "closed-form")
+        return InterferenceLT(lambda s, n: [0.0] * (n + 1), "closed-form")
 
     fading = scenario.fading_h if road == "h" else scenario.fading_v
     loss = scenario.loss_h if road == "h" else scenario.loss_v
@@ -337,13 +311,13 @@ def road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
             return InterferenceLT(
                 _power_law_exponent(mac.p, lam, loss.amplitude_a, loss.alpha,
                                     fading.k, fading.theta, d),
-                road, "closed-form")
+                "closed-form")
         if fading.k == 1 and loss.alpha == 2.0:
             return InterferenceLT(
                 _los_exponent(mac.p, lam, loss.amplitude_a, fading.theta, d),
-                road, "closed-form")
+                "closed-form")
 
-    return InterferenceLT(_quadrature_exponent(road, scenario, link), road,
+    return InterferenceLT(_quadrature_exponent(road, scenario, link),
                           "quadrature")
 
 
@@ -378,13 +352,15 @@ def reception_probability(scenario: Scenario, link: LinkSpec) -> float:
 
     scenario = analytic_view(scenario)
     k0 = scenario.fading_useful.k
-    ctx = eval_context(scenario, link)
-    noise = ctx.zeta * ctx.tilde_n
+    # zeta = beta~ / theta_0 with beta~ = beta / l(tx, rx); noise = zeta N~.
+    zeta = ((link.beta / path_loss(scenario.loss_useful, link.tx, link.rx))
+            / scenario.fading_useful.theta)
+    noise = zeta * (link.noise_w / link.power_w)
     law = [math.exp(-noise)]  # P(N_0 = a), then of N_0 + N_H, ...
     for a in range(1, k0):
         law.append(law[-1] * noise / a)
     for road in ("h", "v"):
-        scaled = road_lt(road, scenario, link).derivatives(ctx.zeta, k0 - 1)
+        scaled = road_lt(road, scenario, link).derivatives(zeta, k0 - 1)
         road_law = [(-1.0) ** n * d / math.factorial(n)
                     for n, d in enumerate(scaled)]
         total = []

@@ -14,9 +14,10 @@ Subcommands:
 
 Exit codes: 0 success (and compare PASS); 1 compare FAIL; 2 a config or
 schema error (``[sim]`` values outside ``SimSettings``' ranges included),
-an unknown preset, compare input that cannot be aligned, or a
-``fit-erlang`` spread that is not finite and positive; 3 a numeric
-failure (such as a quadrature tolerance or a surrogate fit), whose
+an unknown preset, an ``--out-dir`` that cannot be written, compare
+input that cannot be aligned, or a ``fit-erlang`` spread that is not
+finite and positive; 3 a numeric failure (such as a quadrature
+tolerance, a surrogate fit or a transmitter off both roads), whose
 message in a run names the sweep and axis value that raised it. Errors
 go to stderr, and a run that fails writes no CSV. The analytic engine
 differentiates exactly (``numerics.derivative_n`` is a test oracle
@@ -72,19 +73,21 @@ class NumericFailure(Exception):
 # Config schema
 
 
+# Every section is required; a config missing several is told of the
+# first in this order.
 _SECTION_KEYS = {
     "roads": ("lambda_h_per_m", "lambda_v_per_m"),
     "mac": ("protocol", "p", "delta_m"),
     "link": ("tx_x_m", "tx_y_m", "rx_x_m", "rx_y_m", "power_w",
              "noise_dbm", "noise_w", "beta_db", "beta"),
+    "sim": ("realizations", "window_half_length_m", "seed", "workers"),
+    "output": ("prefix",),
     "loss_useful": ("norm", "amplitude_a", "alpha"),
     "loss_h": ("norm", "amplitude_a", "alpha"),
     "loss_v": ("norm", "amplitude_a", "alpha"),
     "fading_useful": ("family", "theta", "k", "sigma_db"),
     "fading_h": ("family", "theta", "k", "sigma_db"),
     "fading_v": ("family", "theta", "k", "sigma_db"),
-    "sim": ("realizations", "window_half_length_m", "seed", "workers"),
-    "output": ("prefix",),
 }
 
 # Each axis sweeps one sweep key, which is also its CSV column; the keys
@@ -160,6 +163,9 @@ def _parse_values(text: str) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise SchemaError(f"range {text!r}: {exc}") from exc
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise SchemaError(
+                f"range {text!r} needs a finite start, stop and step")
         if step <= 0 or stop < start:
             raise SchemaError(f"range {text!r} must ascend with step > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -318,11 +324,7 @@ def _parse_config(cp: configparser.ConfigParser) -> RunPlan:
             raise SchemaError(
                 f"unknown section [{section}]"
                 + _suggest(section, tuple(_SECTION_KEYS) + ("sweep:NAME",)))
-    for required in ("roads", "mac", "link", "sim", "output"):
-        if not cp.has_section(required):
-            raise SchemaError(f"missing required section [{required}]")
-    for section in ("loss_useful", "loss_h", "loss_v",
-                    "fading_useful", "fading_h", "fading_v"):
+    for section in _SECTION_KEYS:
         if not cp.has_section(section):
             raise SchemaError(f"missing required section [{section}]")
     if not sweep_sections:
@@ -371,6 +373,20 @@ def _parse_config(cp: configparser.ConfigParser) -> RunPlan:
 
 # ---------------------------------------------------------------------------
 # Point construction
+
+_NUMERIC_ERRORS = (ToleranceNotMet, propagation.FitDegenerate,
+                   analytic.WrongScenario,
+                   propagation.UnsupportedDistribution,
+                   propagation.DegenerateGeometry, mac.WrongMac,
+                   mac.OffRoadPosition, OverflowError)
+
+
+def _failure(sweep: SweepSpec, value: float, exc: Exception,
+             more: str = "") -> NumericFailure:
+    """``exc``, raised at the point ``value`` of ``sweep``, as the
+    NumericFailure that names the point; ``more`` follows the point."""
+    return NumericFailure(f"sweep {sweep.name!r} at {sweep.axis} = "
+                          f"{value!r}{more}: {type(exc).__name__}: {exc}")
 
 
 def _delta_for_access(p_a: float, tx: model.Position,
@@ -450,9 +466,12 @@ def _sweep_points(plan: RunPlan, sweep: SweepSpec):
     points = []
     for value in sweep.values:
         scenario, link = plan.scenario, plan.link
-        for key, override in (*sweep.overrides,
-                              (_AXIS_COLUMN[sweep.axis], value)):
-            scenario, link = _apply(scenario, link, key, override)
+        try:
+            for key, override in (*sweep.overrides,
+                                  (_AXIS_COLUMN[sweep.axis], value)):
+                scenario, link = _apply(scenario, link, key, override)
+        except _NUMERIC_ERRORS as exc:
+            raise _failure(sweep, value, exc) from exc
         report = model.validate(scenario, link)
         if not report.ok:
             raise SchemaError(
@@ -464,21 +483,6 @@ def _sweep_points(plan: RunPlan, sweep: SweepSpec):
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-
-_NUMERIC_ERRORS = (ToleranceNotMet, propagation.FitDegenerate,
-                   analytic.WrongScenario,
-                   propagation.UnsupportedDistribution,
-                   propagation.DegenerateGeometry, mac.WrongMac,
-                   mac.OffRoadPosition, OverflowError)
-
-
-def _where(sweep: SweepSpec, value: float) -> str:
-    return f"sweep {sweep.name!r} at {sweep.axis} = {value!r}"
-
-
-def _failure(where: str, exc: Exception) -> NumericFailure:
-    return NumericFailure(f"{where}: {type(exc).__name__}: {exc}")
 
 
 def _evaluate_points(sweep: SweepSpec, points):
@@ -493,7 +497,7 @@ def _evaluate_points(sweep: SweepSpec, points):
                 reception.append(
                     analytic.reception_probability(scenario, link))
     except _NUMERIC_ERRORS as exc:
-        raise _failure(_where(sweep, value), exc) from exc
+        raise _failure(sweep, value, exc) from exc
     return access, reception
 
 
@@ -526,10 +530,9 @@ def _monte_carlo(plan: RunPlan, swept) -> list[list]:
         group = members[exc.job]
         i, k, _ = group[0]
         sweep, points = swept[i]
-        where = _where(sweep, points[k][0])
-        if len(group) > 1:
-            where += f" (and {len(group) - 1} more points of its scenario)"
-        raise _failure(where, exc) from exc
+        more = (f" (and {len(group) - 1} more points of its scenario)"
+                if len(group) > 1 else "")
+        raise _failure(sweep, points[k][0], exc, more) from exc
     estimates = [[None] * len(points) for _, points in swept]
     for group, job_estimates in zip(members, results):
         for (i, k, _), est in zip(group, job_estimates):
@@ -621,6 +624,9 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
                 raise SchemaError(
                     f"sweep {sweep.name!r} output {out!r} does not match the "
                     "axis/override/engine layout of an earlier sweep")
+    # Before the engines run, so that a directory that cannot be made
+    # fails at once.
+    os.makedirs(out_dir, exist_ok=True)
 
     # Points are built once (access_probability sweeps solve delta per
     # point); the analytic engine runs first, so that its failures show
@@ -645,10 +651,8 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
             stderr = max(row[-1] for row in cells)
         summary["sweeps"].append({
             "name": sweep.name, "points": len(sweep.values),
-            "rows": len(cells), "max_abs_delta": worst,
-            "max_stderr": stderr})
+            "max_abs_delta": worst, "max_stderr": stderr})
 
-    os.makedirs(out_dir, exist_ok=True)
     for out, rows in by_output.items():
         path_out = os.path.join(out_dir, f"{plan.prefix}_{out}.csv")
         with open(path_out, "w", encoding="utf-8", newline="") as handle:
@@ -961,6 +965,9 @@ def main(argv=None) -> int:
         raise AssertionError(args.command)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the --out-dir or a CSV in it cannot be written
+        print(f"error: cannot write the results: {exc}", file=sys.stderr)
         return 2
     except NumericFailure as exc:
         print(f"numeric failure in {exc}", file=sys.stderr)

@@ -56,7 +56,6 @@ them per realization with ``np.bincount``.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import sys
@@ -66,14 +65,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mac import access_probability_at, access_probability_from_mass
+from .mac import access_probability_from_mass
 # Unused here; perfbench's tracer patches it by name.
 from .mac import access_probability  # noqa: F401
 from .model import (EUCLIDEAN, Aloha, Csma, LinkSpec, PathLossSpec, Position,
                     Scenario)
 from .propagation import path_loss, sample_fading_array
-
-_MASK64 = (1 << 64) - 1
 
 # Cells-per-chunk budgets keep peak memory flat as densities change. The
 # hard-core kernel keeps sorted copies of its arrays and per-delta work
@@ -108,18 +105,21 @@ class SimSettings:
                 f"window_half_length must be finite and positive, got {w}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
 class OutageEstimate:
     p_out: float
     std_err: float
-    realizations_used: int
 
 
 def _stream(seed: int, chunk_index: int) -> np.random.Generator:
+    # A uint64 key: from a plain list, numpy would take a seed >= 2^63 as
+    # float64 and round it.
     return np.random.Generator(np.random.Philox(
-        key=[seed & _MASK64, chunk_index]))
+        key=np.array([seed, chunk_index], dtype=np.uint64)))
 
 
 # --- Matern II kernel --------------------------------------------------------
@@ -474,21 +474,10 @@ def _truncation_warnings(scenario: Scenario, links: list[LinkSpec],
               "truncation bias - enlarge window_half_length to reduce it")
 
 
-@contextlib.contextmanager
-def _job_context(job: int):
-    """Tag an exception escaping the block with the index of its job."""
-    try:
-        yield
-    except Exception as exc:
-        exc.job = job
-        raise
-
-
 def _estimate(fails: int, n: int) -> OutageEstimate:
     p_out = float(fails) / n
     return OutageEstimate(p_out=p_out,
-                          std_err=math.sqrt(p_out * (1.0 - p_out) / n),
-                          realizations_used=n)
+                          std_err=math.sqrt(p_out * (1.0 - p_out) / n))
 
 
 def _group_key(job: int, scenario: Scenario):
@@ -526,9 +515,12 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
     n = settings.realizations
     groups: dict = {}  # group key -> (rows per chunk, jobs in order)
     for job, (scenario, links) in enumerate(jobs):
-        with _job_context(job):
+        try:
             _truncation_warnings(scenario, links, settings)
             rows = _plan_rows(scenario, settings)
+        except Exception as exc:
+            exc.job = job
+            raise
         if links:
             key = _group_key(job, scenario)
             groups.setdefault(key, (rows, []))[1].append(job)
@@ -600,11 +592,3 @@ def simulate_outage(scenario: Scenario, link: LinkSpec,
 
     return simulate_outage_sweep(scenario, [link], settings)[0]
 
-
-def simulate_throughput(scenario: Scenario, link: LinkSpec,
-                        settings: SimSettings) -> float:
-    """Simulated link throughput: p_A(tx) * (1 - p_out) * log2(1 + beta)."""
-
-    est = simulate_outage(scenario, link, settings)
-    return (access_probability_at(scenario, link.tx) * (1.0 - est.p_out)
-            * math.log2(1.0 + link.beta))

@@ -38,15 +38,7 @@ class OrderTooHigh(ValueError):
 
 
 class ToleranceNotMet(ArithmeticError):
-    """Quadrature could not reach the requested tolerance.
-
-    Carries the best available estimate so a caller may still inspect it.
-    """
-
-    def __init__(self, message: str, estimate: float, error: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error
+    """Quadrature could not reach the requested tolerance."""
 
 
 def gamma_fn(x: float) -> float:
@@ -157,9 +149,7 @@ def integrate_line(
         if len(res) > 3:
             trouble.append(str(res[3]))
     if trouble:
-        raise ToleranceNotMet(
-            "; ".join(trouble), estimate=total, error=err
-        )
+        raise ToleranceNotMet("; ".join(trouble))
     return total, err
 
 

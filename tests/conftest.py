@@ -1,12 +1,19 @@
 import pytest
 
 from crossrx import (Aloha, Exponential, LinkSpec, PathLossSpec, Position,
-                     RoadConfig, Scenario, road_lt)
+                     RoadConfig, Scenario, path_loss, road_lt)
 
 NOISE_W = 10 ** (-99 / 10) * 1e-3
 BETA = 10 ** 0.8
 LOS = PathLossSpec(norm="euclidean", amplitude_a=3e-5, alpha=2.0)
 CANYON = PathLossSpec(norm="manhattan", amplitude_a=3e-5, alpha=2.0)
+
+
+def zeta_of(scen, link):
+    """beta / (l(tx, rx) theta_0): where the reception pipeline evaluates
+    each road's transform, for an Erlang (or exponential) useful link."""
+    return (link.beta / path_loss(scen.loss_useful, link.tx, link.rx)
+            / scen.fading_useful.theta)
 
 
 def closed_form(road, scen, link):

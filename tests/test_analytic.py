@@ -5,7 +5,7 @@ import pytest
 
 import crossrx
 from crossrx import (Aloha, Csma, Erlang, LogNormal, NoMac, PathLossSpec,
-                     Position, analytic_view, derivative_n, eval_context,
+                     Position, analytic_view, derivative_n,
                      lt_interference_generic, reception_probability, road_lt,
                      throughput)
 from crossrx.analytic import _quadrature_exponent
@@ -14,7 +14,7 @@ from crossrx.model import EUCLIDEAN
 from crossrx.numerics import integrate_line, pochhammer
 from crossrx.propagation import fading_lt
 
-from conftest import BETA, CANYON, NOISE_W, closed_form
+from conftest import BETA, CANYON, closed_form, zeta_of
 from oracles import lt_h_sqrt_derivative
 
 # Hand-computable reference: tx at the intersection, rx 100 m out,
@@ -24,14 +24,6 @@ from oracles import lt_h_sqrt_derivative
 #   V exponent     p lam pi b/sqrt(b+d^2) = 0.03665843
 # so outage = 1 - exp(-0.07876281) = 0.075740877.
 RURAL_OUTAGE_100M = 0.0757408769754504
-
-
-def test_eval_context_reference(make_scenario, make_link):
-    ctx = eval_context(make_scenario(Aloha(0.005)),
-                       make_link((0, 0), (100, 0)))
-    assert np.isclose(ctx.tilde_n, NOISE_W / 0.1, rtol=1e-15)
-    assert np.isclose(ctx.tilde_beta, BETA * 100 ** 2 / 3e-5, rtol=1e-12)
-    assert np.isclose(ctx.zeta, ctx.tilde_beta, rtol=1e-15)  # theta0 = 1
 
 
 def assert_exponents_match_quadrature(road, scen, link, s, orders=4):
@@ -126,7 +118,7 @@ def test_quadrature_exponent_is_bitwise_reference(make_scenario, make_link,
                          fading_v=fading)
     # tx at 150 m: the kill disc cuts the V road too at delta = 500.
     link = make_link((150, 0), (300, 0))
-    s = eval_context(scen, link).zeta
+    s = zeta_of(scen, link)
     assert (_quadrature_exponent(road, scen, link)(s, 3)
             == reference_exponent(road, scen, link, s, 3))
 
@@ -261,12 +253,11 @@ def test_reception_rural_monotone(make_scenario, make_link):
 def assert_routes(scen, link, route_h, route_v):
     """Each road takes the expected route, and its value at zeta agrees
     with the quadrature."""
-    zeta = eval_context(scen, link).zeta
+    s = zeta_of(scen, link)
     for road, route in (("h", route_h), ("v", route_v)):
         lt = road_lt(road, scen, link)
         assert lt.provenance == route
-        assert np.isclose(lt(zeta),
-                          lt_interference_generic(road, scen, link, zeta),
+        assert np.isclose(lt(s), lt_interference_generic(road, scen, link, s),
                           rtol=1e-9)
 
 
@@ -381,10 +372,10 @@ def test_reception_generic_erlang_h_road(make_scenario, make_link):
     link = make_link((100, 0), (0, 0))
     value = reception_probability(scen, link)
     assert 0.0 < value < 1.0
-    ctx = eval_context(scen, link)
-    lh = lt_interference_generic("h", scen, link, ctx.zeta)
-    lv = lt_interference_generic("v", scen, link, ctx.zeta)
-    direct = math.exp(-ctx.tilde_n * ctx.zeta) * lh * lv
+    s = zeta_of(scen, link)
+    lh = lt_interference_generic("h", scen, link, s)
+    lv = lt_interference_generic("v", scen, link, s)
+    direct = math.exp(-(link.noise_w / link.power_w) * s) * lh * lv
     assert np.isclose(value, direct, rtol=1e-9)
 
 

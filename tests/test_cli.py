@@ -301,6 +301,12 @@ def test_compare_across_engines(tmp_path):
      "exactly one of noise_dbm, noise_w"),
     (lambda t: t.replace("values = 100, 200, 300", "values = 100, 300, 200"),
      "strictly monotone"),
+    (lambda t: t.replace("values = 100, 200, 300", "values = 100:300:nan"),
+     "range '100:300:nan' needs a finite start, stop and step"),
+    (lambda t: t.replace("values = 100, 200, 300", "values = nan:300:100"),
+     "range 'nan:300:100' needs a finite start, stop and step"),
+    (lambda t: t.replace("values = 100, 200, 300", "values = 100:inf:100"),
+     "range '100:inf:100' needs a finite start, stop and step"),
     (lambda t: t.replace("engines = both", "engines = montecarl"),
      "did you mean 'montecarlo'"),
     (lambda t: t.replace("axis = tx_rx_distance", "axis = distance"),
@@ -339,6 +345,8 @@ def test_compare_across_engines(tmp_path):
     (lambda t: t.replace("window_half_length_m = 3000",
                          "window_half_length_m = inf"),
      r"\[sim\] window_half_length must be finite and positive, got inf"),
+    (lambda t: t.replace("seed = 5", "seed = -1"),
+     r"\[sim\] seed must be in \[0, 2\*\*64\), got -1"),
 ])
 def test_schema_errors(mutate, match, tmp_path, capsys):
     text = mutate(BASE_CONFIG)
@@ -470,6 +478,34 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "FitDegenerate" in err
     assert "sweep 'main' at tx_rx_distance = 100.0" in err
+
+    # An --out-dir that is an existing file fails before the engines run.
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(cfg), "--out-dir", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the results: ")
+    assert str(taken) in err
+    assert sorted(tmp_path.iterdir()) == [cfg, taken]
+
+
+def test_point_construction_failure_names_its_point(tmp_path, capsys):
+    # The override moves the transmitter off both roads, so solving its
+    # sensing radius for the access probability fails.
+    text = (BASE_CONFIG
+            .replace("protocol = aloha\np = 0.01",
+                     "protocol = csma\ndelta_m = 100")
+            .replace("tx_x_m = 100\ntx_y_m = 0", "tx_x_m = 0\ntx_y_m = 40")
+            .replace("axis = tx_rx_distance\nvalues = 100, 200, 300",
+                     "axis = access_probability\nvalues = 0.05, 0.1\n"
+                     "tx_x_m = 100"))
+    cfg = tmp_path / "off_road.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure in sweep 'main' at access_probability = 0.05: "
+        "OffRoadPosition: Position(x=100.0, y=40.0) lies on neither road\n")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_monte_carlo_failure_names_its_sweep(tmp_path, capsys, monkeypatch):
