@@ -352,9 +352,15 @@ def reception_probability(scenario: Scenario, link: LinkSpec) -> float:
 
     scenario = analytic_view(scenario)
     k0 = scenario.fading_useful.k
+    gain = path_loss(scenario.loss_useful, link.tx, link.rx)
     # zeta = beta~ / theta_0 with beta~ = beta / l(tx, rx); noise = zeta N~.
-    zeta = ((link.beta / path_loss(scenario.loss_useful, link.tx, link.rx))
+    zeta = ((link.beta / gain if gain else math.inf)
             / scenario.fading_useful.theta)
+    if zeta == math.inf:  # the limit: any noise or active interferer wins
+        mac, roads = scenario.mac, scenario.roads
+        silent = (isinstance(mac, NoMac) or mac == Aloha(0.0)
+                  or roads.lambda_h == roads.lambda_v == 0.0)
+        return float(link.noise_w == 0.0 and silent)
     noise = zeta * (link.noise_w / link.power_w)
     law = [math.exp(-noise)]  # P(N_0 = a), then of N_0 + N_H, ...
     for a in range(1, k0):

@@ -13,15 +13,16 @@ Subcommands:
   spread.
 
 Exit codes: 0 success (and compare PASS); 1 compare FAIL; 2 a config or
-schema error (``[sim]`` values outside ``SimSettings``' ranges included),
-an unknown preset, an ``--out-dir`` that cannot be written, compare
-input that cannot be aligned, or a ``fit-erlang`` spread that is not
-finite and positive; 3 a numeric failure (such as a quadrature
-tolerance, a surrogate fit or a transmitter off both roads), whose
-message in a run names the sweep and axis value that raised it. Errors
-go to stderr, and a run that fails writes no CSV. The analytic engine
-differentiates exactly (``numerics.derivative_n`` is a test oracle
-only), so no Erlang shape is rejected for its derivative order.
+schema error (a dB value that overflows and ``[sim]`` values outside
+``SimSettings``' ranges included), an unknown preset, an ``--out-dir``
+that cannot be written, compare input that cannot be aligned, or a
+``fit-erlang`` spread that is not finite and positive; 3 a numeric
+failure (such as a quadrature tolerance, a surrogate fit or a
+transmitter off both roads). Every config or numeric error raised while
+building or evaluating a sweep point names the sweep and axis value.
+Errors go to stderr, and a run that fails writes no CSV. A useful gain
+that underflows is no failure: its reception probability is the
+formula's limit, 0 (1 with neither noise nor an interferer).
 
 CSV cells are fixed 17-significant-digit scientific notation, UTF-8,
 LF line endings, so byte-identical reruns are a meaningful check.
@@ -44,8 +45,8 @@ from scipy.optimize import brentq
 from . import analytic, mac, model, propagation
 # Re-exported: perfbench warms the surrogate fit cache through it.
 from .analytic import analytic_view  # noqa: F401
-from .montecarlo import SimSettings, simulate_outage_sweep, simulate_outages
-from .numerics import ToleranceNotMet
+from .montecarlo import (OutageEstimate, SimSettings, simulate_outage_sweep,
+                         simulate_outages)
 
 
 class ConfigParseError(Exception):
@@ -65,8 +66,8 @@ class UnknownPreset(Exception):
 
 
 class NumericFailure(Exception):
-    """A numeric error raised while evaluating the sweep point named in
-    the message; the original exception is the ``__cause__``."""
+    """A numeric error raised while building or evaluating the sweep point
+    named in the message; the original exception is the ``__cause__``."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +131,7 @@ def _value(cp, section, key, convert, required=True, default=None):
     raw = cp.get(section, key)
     try:
         return convert(raw)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaError(
             f"[{section}] {key} = {raw!r}: {exc}") from exc
 
@@ -168,7 +169,10 @@ def _parse_values(text: str) -> tuple[float, ...]:
                 f"range {text!r} needs a finite start, stop and step")
         if step <= 0 or stop < start:
             raise SchemaError(f"range {text!r} must ascend with step > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise SchemaError(f"range {text!r} has too many points to count")
+        count = int(math.floor(span + 1e-9)) + 1
         values = tuple(start + i * step for i in range(count))
     else:
         try:
@@ -239,23 +243,22 @@ def _parse_fading(cp, section) -> model.FadingSpec:
         + _suggest(family, ("exponential", "erlang", "lognormal")))
 
 
-def _parse_link(cp) -> model.LinkSpec:
-    has_dbm = cp.has_option("link", "noise_dbm")
-    has_w = cp.has_option("link", "noise_w")
-    if has_dbm == has_w:
-        raise SchemaError("[link] needs exactly one of noise_dbm, noise_w")
-    if has_dbm:
-        noise_w = 10.0 ** (_value(cp, "link", "noise_dbm", float) / 10.0) * 1e-3
-    else:
-        noise_w = _value(cp, "link", "noise_w", float)
-    has_db = cp.has_option("link", "beta_db")
-    has_lin = cp.has_option("link", "beta")
-    if has_db == has_lin:
-        raise SchemaError("[link] needs exactly one of beta_db, beta")
+def _db_or_linear(cp, db_key: str, linear_key: str,
+                  unit: float = 1.0) -> float:
+    """The [link] value given either as ``db_key``, in dB of ``unit``, or
+    as ``linear_key``; exactly one of the two must be set."""
+    has_db = cp.has_option("link", db_key)
+    if has_db == cp.has_option("link", linear_key):
+        raise SchemaError(f"[link] needs exactly one of {db_key}, {linear_key}")
     if has_db:
-        beta = 10.0 ** (_value(cp, "link", "beta_db", float) / 10.0)
-    else:
-        beta = _value(cp, "link", "beta", float)
+        return _value(cp, "link", db_key,
+                      lambda raw: 10.0 ** (float(raw) / 10.0) * unit)
+    return _value(cp, "link", linear_key, float)
+
+
+def _parse_link(cp) -> model.LinkSpec:
+    noise_w = _db_or_linear(cp, "noise_dbm", "noise_w", unit=1e-3)
+    beta = _db_or_linear(cp, "beta_db", "beta")
     return model.LinkSpec(
         tx=model.Position(_value(cp, "link", "tx_x_m", float),
                           _value(cp, "link", "tx_y_m", float)),
@@ -374,19 +377,31 @@ def _parse_config(cp: configparser.ConfigParser) -> RunPlan:
 # ---------------------------------------------------------------------------
 # Point construction
 
-_NUMERIC_ERRORS = (ToleranceNotMet, propagation.FitDegenerate,
-                   analytic.WrongScenario,
-                   propagation.UnsupportedDistribution,
-                   propagation.DegenerateGeometry, mac.WrongMac,
-                   mac.OffRoadPosition, OverflowError)
+_NUMERIC_ERRORS = (ArithmeticError, analytic.WrongScenario, mac.WrongMac,
+                   mac.OffRoadPosition, propagation.DegenerateGeometry,
+                   propagation.FitDegenerate,
+                   propagation.UnsupportedDistribution)
 
 
-def _failure(sweep: SweepSpec, value: float, exc: Exception,
-             more: str = "") -> NumericFailure:
-    """``exc``, raised at the point ``value`` of ``sweep``, as the
-    NumericFailure that names the point; ``more`` follows the point."""
-    return NumericFailure(f"sweep {sweep.name!r} at {sweep.axis} = "
-                          f"{value!r}{more}: {type(exc).__name__}: {exc}")
+@dataclass
+class _Point:
+    """A sweep point; the fields no engine has filled in are None."""
+    sweep: SweepSpec
+    value: float
+    scenario: model.Scenario
+    link: model.LinkSpec
+    access: float | None = None
+    reception: float | None = None
+    estimate: OutageEstimate | None = None
+
+
+def _located(point: _Point, exc: Exception, more: str = "") -> Exception:
+    """``exc`` as the error of its kind naming ``point``, then ``more``."""
+    where = (f"sweep {point.sweep.name!r} at {point.sweep.axis} = "
+             f"{point.value!r}{more}")
+    if isinstance(exc, SchemaError):
+        return SchemaError(f"{where}: {exc}")
+    return NumericFailure(f"{where}: {type(exc).__name__}: {exc}")
 
 
 def _delta_for_access(p_a: float, tx: model.Position,
@@ -462,22 +477,21 @@ def _apply(scenario, link, key, value):
     return dataclasses.replace(scenario, mac=protocol), link
 
 
-def _sweep_points(plan: RunPlan, sweep: SweepSpec):
+def _sweep_points(plan: RunPlan, sweep: SweepSpec) -> list[_Point]:
     points = []
-    for value in sweep.values:
-        scenario, link = plan.scenario, plan.link
-        try:
+    try:
+        for value in sweep.values:
+            point = _Point(sweep, value, plan.scenario, plan.link)
             for key, override in (*sweep.overrides,
                                   (_AXIS_COLUMN[sweep.axis], value)):
-                scenario, link = _apply(scenario, link, key, override)
-        except _NUMERIC_ERRORS as exc:
-            raise _failure(sweep, value, exc) from exc
-        report = model.validate(scenario, link)
-        if not report.ok:
-            raise SchemaError(
-                f"sweep {sweep.name!r} at {sweep.axis}={value}: "
-                + "; ".join(report.violations))
-        points.append((value, scenario, link))
+                point.scenario, point.link = _apply(
+                    point.scenario, point.link, key, override)
+            report = model.validate(point.scenario, point.link)
+            if not report.ok:
+                raise SchemaError("; ".join(report.violations))
+            points.append(point)
+    except (SchemaError, *_NUMERIC_ERRORS) as exc:
+        raise _located(point, exc) from exc
     return points
 
 
@@ -485,38 +499,33 @@ def _sweep_points(plan: RunPlan, sweep: SweepSpec):
 # Evaluation
 
 
-def _evaluate_points(sweep: SweepSpec, points):
-    """Access probability at the transmitter of each point, and its
-    analytic reception probability when the sweep asks for that engine."""
-    want_analytic = sweep.engines in ("analytic", "both")
-    access, reception = [], []
+def _analytic(points: list[_Point]) -> None:
+    """Fill in each point's access probability at the transmitter, and its
+    analytic reception probability when its sweep asks for that engine."""
     try:
-        for value, scenario, link in points:
-            access.append(mac.access_probability_at(scenario, link.tx))
-            if want_analytic:
-                reception.append(
-                    analytic.reception_probability(scenario, link))
+        for point in points:
+            point.access = mac.access_probability_at(point.scenario,
+                                                     point.link.tx)
+            if point.sweep.engines != "montecarlo":
+                point.reception = analytic.reception_probability(
+                    point.scenario, point.link)
     except _NUMERIC_ERRORS as exc:
-        raise _failure(sweep, value, exc) from exc
-    return access, reception
+        raise _located(point, exc) from exc
 
 
-def _monte_carlo(plan: RunPlan, swept) -> list[list]:
-    """Monte Carlo estimates for every point of ``swept`` (a list of
-    (sweep, points)) whose sweep asks for them, as [sweep][point].
+def _monte_carlo(plan: RunPlan, points: list[_Point]) -> None:
+    """Fill in the estimate of every point whose sweep runs Monte Carlo.
 
     Points with equal scenarios, across sweeps too, form one job and
     share its draws, and one batch call evaluates every chunk of every
     job on one worker pool. A link's estimate does not depend on the
     other links of its job, so the grouping changes no output bit.
     """
-    groups: dict[model.Scenario, list] = {}
-    for i, (sweep, points) in enumerate(swept):
-        if sweep.engines in ("montecarlo", "both"):
-            for k, (_, scenario, link) in enumerate(points):
-                groups.setdefault(scenario, []).append((i, k, link))
-    members = list(groups.values())
-    jobs = [(scenario, [link for _, _, link in group])
+    groups: dict[model.Scenario, list[_Point]] = {}
+    for point in points:
+        if point.sweep.engines != "analytic":
+            groups.setdefault(point.scenario, []).append(point)
+    jobs = [(scenario, [point.link for point in group])
             for scenario, group in groups.items()]
     try:
         if len(jobs) == 1:
@@ -527,17 +536,13 @@ def _monte_carlo(plan: RunPlan, swept) -> list[list]:
         else:
             results = simulate_outages(jobs, plan.sim)
     except _NUMERIC_ERRORS as exc:
-        group = members[exc.job]
-        i, k, _ = group[0]
-        sweep, points = swept[i]
+        group = list(groups.values())[exc.job]
         more = (f" (and {len(group) - 1} more points of its scenario)"
                 if len(group) > 1 else "")
-        raise _failure(sweep, points[k][0], exc, more) from exc
-    estimates = [[None] * len(points) for _, points in swept]
-    for group, job_estimates in zip(members, results):
-        for (i, k, _), est in zip(group, job_estimates):
-            estimates[i][k] = est
-    return estimates
+        raise _located(group[0], exc, more) from exc
+    for group, estimates in zip(groups.values(), results):
+        for point, estimate in zip(group, estimates):
+            point.estimate = estimate
 
 
 def _header(sweep: SweepSpec, out: str) -> list[str]:
@@ -561,31 +566,16 @@ def _cell(out: str, outage: float, reception: float, p_access: float,
     return p_access * reception * rate
 
 
-def _sweep_rows(plan: RunPlan, sweep: SweepSpec, points, access,
-                reception_a, estimates):
-    """Rows for one sweep section, keyed by output kind; each row holds
-    the values of ``_header(sweep, out)`` in its order."""
-    want_analytic = sweep.engines in ("analytic", "both")
-    want_mc = sweep.engines in ("montecarlo", "both")
-    rate = math.log2(1.0 + plan.link.beta)
-    pinned = [override for _, override in sweep.overrides]
-    rows = {out: [] for out in sweep.outputs}
-    for idx, (value, _, _) in enumerate(points):
-        p_access = access[idx]
-        for out in sweep.outputs:
-            row = [value, *pinned]
-            if want_analytic:
-                reception = reception_a[idx]
-                row.append(_cell(out, 1.0 - reception, reception, p_access,
-                                 rate))
-            if want_mc:
-                est = estimates[idx]
-                row.append(_cell(out, est.p_out, 1.0 - est.p_out, p_access,
-                                 rate))
-                row.append(_cell(out, est.std_err, est.std_err, p_access,
-                                 rate))
-            rows[out].append(row)
-    return rows
+def _row(point: _Point, out: str, rate: float) -> list[float]:
+    """The values of ``_header(point.sweep, out)`` at ``point``, in order."""
+    row = [point.value, *(override for _, override in point.sweep.overrides)]
+    if point.reception is not None:
+        row.append(_cell(out, 1.0 - point.reception, point.reception,
+                         point.access, rate))
+    if (est := point.estimate) is not None:
+        row.append(_cell(out, est.p_out, 1.0 - est.p_out, point.access, rate))
+        row.append(_cell(out, est.std_err, est.std_err, point.access, rate))
+    return row
 
 
 def _fmt(x: float) -> str:
@@ -631,18 +621,19 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
     # Points are built once (access_probability sweeps solve delta per
     # point); the analytic engine runs first, so that its failures show
     # before the Monte Carlo batch runs.
-    swept = [(sweep, _sweep_points(plan, sweep)) for sweep in plan.sweeps]
-    evaluated = [_evaluate_points(sweep, points) for sweep, points in swept]
-    estimates = _monte_carlo(plan, swept)
+    per_sweep = [_sweep_points(plan, sweep) for sweep in plan.sweeps]
+    points = [point for sweep_points in per_sweep for point in sweep_points]
+    _analytic(points)
+    _monte_carlo(plan, points)
+    rate = math.log2(1.0 + plan.link.beta)
     summary = {"files": [], "sweeps": []}
     by_output = {out: [] for out in headers}
-    for (sweep, points), (access, reception_a), sweep_estimates in zip(
-            swept, evaluated, estimates):
-        rows = _sweep_rows(plan, sweep, points, access, reception_a,
-                           sweep_estimates)
-        cells = [row for out in sweep.outputs for row in rows[out]]
+    for sweep, sweep_points in zip(plan.sweeps, per_sweep):
+        cells = []
         for out in sweep.outputs:
-            by_output[out].extend(rows[out])
+            rows = [_row(point, out, rate) for point in sweep_points]
+            by_output[out].extend(rows)
+            cells.extend(rows)
         # A row ends in its value cells: [analytic], [mc, mc_stderr].
         worst = stderr = 0.0
         if sweep.engines == "both":
@@ -957,8 +948,7 @@ def main(argv=None) -> int:
             try:
                 fit = propagation.erlang_fit(args.sigma_db)
             except ValueError as exc:  # a spread that is not finite and > 0
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+                raise SchemaError(str(exc)) from None
             print(f"sigma_db = {args.sigma_db} -> Erlang k = {fit.k}, "
                   f"theta = {fit.theta:.6f}")
             return 0

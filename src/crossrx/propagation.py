@@ -126,19 +126,22 @@ def erlang_fit(sigma_db: float) -> Erlang:
     This is the fit :func:`crossrx.analytic.analytic_view` substitutes and
     ``crossrx fit-erlang`` prints.
 
-    Raises FitDegenerate if the best k sits at the top of the search
-    range (the fit wants a shape this family cannot represent). k = 1 is
-    a legitimate answer, not a degeneracy: wide dB spreads genuinely fit
-    best as exponential.
+    Raises FitDegenerate if the samples' mean or mean log overflows, or
+    if the best k sits at the top of the search range (the fit wants a
+    shape this family cannot represent). k = 1 is a legitimate answer,
+    not a degeneracy: wide dB spreads genuinely fit best as exponential.
     """
 
     if not (math.isfinite(sigma_db) and sigma_db > 0):
         raise ValueError(
             f"sigma_db must be finite and positive, got {sigma_db}")
     rng = np.random.Generator(np.random.Philox(key=[_FIT_SEED, 0]))
-    x = np.exp(rng.standard_normal(_FIT_SAMPLES) * (sigma_db * _DB_TO_LN))
-    mean = float(x.mean())
-    mean_log = float(np.log(x).mean())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.exp(rng.standard_normal(_FIT_SAMPLES) * (sigma_db * _DB_TO_LN))
+        mean = float(x.mean())
+        mean_log = float(np.log(x).mean())
+    if not (math.isfinite(mean) and math.isfinite(mean_log)):
+        raise FitDegenerate(f"sigma_db = {sigma_db} overflows the fit's samples")
 
     ks = np.arange(1, _K_SEARCH_MAX + 1, dtype=float)
     # Per-sample log-likelihood at theta = mean/k:

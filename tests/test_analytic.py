@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import crossrx
-from crossrx import (Aloha, Csma, Erlang, LogNormal, NoMac, PathLossSpec,
-                     Position, analytic_view, derivative_n,
+from crossrx import (Aloha, Csma, Erlang, Exponential, LogNormal, NoMac,
+                     PathLossSpec, Position, analytic_view, derivative_n,
                      lt_interference_generic, reception_probability, road_lt,
                      throughput)
 from crossrx.analytic import _quadrature_exponent
@@ -391,6 +391,23 @@ def test_reception_csma_improves_with_radius(make_scenario, make_link):
     values = [reception_probability(make_scenario(Csma(delta)), link)
               for delta in (100.0, 500.0, 2000.0, 10000.0)]
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize("mac", [Aloha(0.01), Csma(500.0)])
+@pytest.mark.parametrize("fading", [Exponential(), Erlang(3, 0.4)])
+def test_reception_of_an_underflowing_gain_is_its_limit(make_scenario,
+                                                        make_link, mac,
+                                                        fading):
+    # At 1e200 m the useful path gain underflows to 0.0, at 1e155 m beta
+    # over it overflows: zeta -> inf, where noise and interferers win.
+    scen = make_scenario(mac, fading_useful=fading)
+    for far in (1e200, 1e155):
+        assert reception_probability(scen, make_link((far, 0), (0, 0))) == 0.0
+        quiet = make_link((far, 0), (0, 0), noise_w=0.0)
+        assert reception_probability(scen, quiet) == 0.0
+        for silent in (NoMac(), Aloha(0.0)):
+            scen_silent = make_scenario(silent, fading_useful=fading)
+            assert reception_probability(scen_silent, quiet) == 1.0
 
 
 def test_throughput_aloha_product(make_scenario, make_link):

@@ -347,6 +347,13 @@ def test_compare_across_engines(tmp_path):
      r"\[sim\] window_half_length must be finite and positive, got inf"),
     (lambda t: t.replace("seed = 5", "seed = -1"),
      r"\[sim\] seed must be in \[0, 2\*\*64\), got -1"),
+    # Config arithmetic that overflows names its key.
+    (lambda t: t.replace("beta_db = 8", "beta_db = 4000"),
+     r"\[link\] beta_db = '4000': "),
+    (lambda t: t.replace("noise_dbm = -99", "noise_dbm = 4000"),
+     r"\[link\] noise_dbm = '4000': "),
+    (lambda t: t.replace("values = 100, 200, 300", "values = 10:1e300:1e-300"),
+     "range '10:1e300:1e-300' has too many points to count"),
 ])
 def test_schema_errors(mutate, match, tmp_path, capsys):
     text = mutate(BASE_CONFIG)
@@ -505,6 +512,59 @@ def test_point_construction_failure_names_its_point(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numeric failure in sweep 'main' at access_probability = 0.05: "
         "OffRoadPosition: Position(x=100.0, y=40.0) lies on neither road\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (lambda t: t.replace("tx_rx_distance\nvalues = 100, 200, 300",
+                         "access_probability\nvalues = nan"),
+     "access_probability = nan: access_probability nan out of (0, 1]"),
+    (lambda t: t.replace("tx_rx_distance\nvalues = 100, 200, 300",
+                         "access_probability\nvalues = 2"),
+     "access_probability = 2.0: access_probability 2.0 out of (0, 1]"),
+    (lambda t: t.replace("protocol = aloha\np = 0.01", "protocol = none")
+     .replace("tx_rx_distance\nvalues = 100, 200, 300",
+              "access_probability\nvalues = 0.01"),
+     "access_probability = 0.01: "
+     "axis access_probability requires aloha or csma"),
+    # A model.validate violation at the point.
+    (lambda t: t + "p = 1.5\n",
+     "tx_rx_distance = 100.0: mac: Aloha p must lie in [0, 1], got 1.5"),
+])
+def test_point_config_errors_name_their_point(mutate, where, tmp_path,
+                                              capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(mutate(BASE_CONFIG))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: sweep 'main' at {where}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_underflowing_useful_gain_is_an_outage(tmp_path):
+    # At 1e200 m the useful path gain underflows to 0.0.
+    text = BASE_CONFIG.replace("values = 100, 200, 300", "values = 10, 1e200")
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "tiny_outage.csv")
+    assert float(rows[1]["distance_m"]) == 1e200
+    assert float(rows[1]["outage_analytic"]) == 1.0
+    assert float(rows[1]["outage_mc"]) == 1.0
+
+
+def test_overflowing_surrogate_fit_is_a_numeric_failure(tmp_path, capsys):
+    assert main(["fit-erlang", "--sigma-db", "1000"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("numeric failure: FitDegenerate: ")
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(BASE_CONFIG.replace(
+        "[fading_useful]\nfamily = exponential\ntheta = 1",
+        "[fading_useful]\nfamily = lognormal\nsigma_db = 1000"))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numeric failure in sweep 'main' at tx_rx_distance = 100.0: "
+        "FitDegenerate: ")
     assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -141,6 +141,13 @@ def test_erlang_fit_narrow_spread_degenerates():
         erlang_fit(0.3)
 
 
+def test_erlang_fit_overflowing_spread_degenerates():
+    # From about 620 dB the fit's samples overflow; 400 dB still fits.
+    with pytest.raises(FitDegenerate, match="overflows"):
+        erlang_fit(1000.0)
+    assert math.isfinite(erlang_fit(400.0).theta)
+
+
 def test_erlang_fit_rejects_bad_input():
     for sigma_db in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
