@@ -13,13 +13,14 @@ Subcommands:
   spread.
 
 Exit codes: 0 success (and compare PASS); 1 compare FAIL; 2 a config or
-schema error (a dB value that overflows and ``[sim]`` values outside
-``SimSettings``' ranges included), an unknown preset, an ``--out-dir``
-that cannot be written, compare input that cannot be aligned, or a
-``fit-erlang`` spread that is not finite and positive; 3 a numeric
-failure (such as a quadrature tolerance, a surrogate fit or a
-transmitter off both roads). Every config or numeric error raised while
-building or evaluating a sweep point names the sweep and axis value.
+schema error (a dB value that overflows, a range of more than 100,000
+points and ``[sim]`` values outside ``SimSettings``' ranges included), an
+unknown preset, an ``--out-dir`` that cannot be written, compare input
+that cannot be aligned, or a ``fit-erlang`` spread that is not finite
+and positive; 3 a numeric failure (such as a quadrature tolerance, a
+surrogate fit, a log-normal draw that overflows or a transmitter off
+both roads). Every config or numeric error raised while building or
+evaluating a sweep point names the sweep and axis value.
 Errors go to stderr, and a run that fails writes no CSV. A useful gain
 that underflows is no failure: its reception probability is the
 formula's limit, 0 (1 with neither noise nor an interferer).
@@ -33,12 +34,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import difflib
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
@@ -101,7 +101,7 @@ _AXIS_COLUMN = {
     "csma_delta": "delta_m",
 }
 _OVERRIDE_KEYS = ("d_m", "p", "delta_m", "tx_x_m", "tx_y_m", "rx_x_m")
-# What each sweep key sets (see _apply). A sweep's axis and overrides
+# What each sweep key sets (see _sweep_points). A sweep's axis and overrides
 # must set different things, or one of them would be silently lost.
 _SETS = {
     "distance_m": ("tx.x", "tx.y"),
@@ -113,6 +113,7 @@ _SETS = {
     "tx_y_m": ("tx.y",),
     "rx_x_m": ("rx.x",),
 }
+_MAX_POINTS = 100_000  # per start:stop:step range; a preset sweep has <= 24
 _SWEEP_FIXED_KEYS = ("axis", "values", "output", "engines")
 _OUTPUT_KINDS = ("outage", "reception", "throughput")
 _ENGINES = ("analytic", "montecarlo", "both")
@@ -173,6 +174,9 @@ def _parse_values(text: str) -> tuple[float, ...]:
         if not math.isfinite(span):
             raise SchemaError(f"range {text!r} has too many points to count")
         count = int(math.floor(span + 1e-9)) + 1
+        if count > _MAX_POINTS:
+            raise SchemaError(f"range {text!r} has {count} points, more than "
+                              f"{_MAX_POINTS}")
         values = tuple(start + i * step for i in range(count))
     else:
         try:
@@ -437,55 +441,45 @@ def _bracketed_root(f, lo: float, hi: float, p_a: float, xtol: float) -> float:
             "radius is too small to solve for") from None
 
 
-def _apply(scenario, link, key, value):
-    """Set sweep key ``key`` (an override, or the column of the axis) to
-    ``value``; ``_SETS`` lists what each key sets."""
-    if key == "distance_m":
-        return scenario, dataclasses.replace(
-            link, tx=model.Position(link.rx.x + value, 0.0))
-    if key == "d_m":
-        return scenario, dataclasses.replace(
-            link, rx=model.Position(value, 0.0))
-    if key == "tx_x_m":
-        return scenario, dataclasses.replace(
-            link, tx=model.Position(value, link.tx.y))
-    if key == "tx_y_m":
-        return scenario, dataclasses.replace(
-            link, tx=model.Position(link.tx.x, value))
-    if key == "rx_x_m":
-        return scenario, dataclasses.replace(
-            link, rx=model.Position(value, link.rx.y))
-    protocol = scenario.mac
-    if key == "p_a":
-        if isinstance(protocol, model.Aloha):
-            if not 0.0 < value <= 1.0:
-                raise SchemaError(f"access_probability {value} out of (0, 1]")
-            protocol = model.Aloha(p=value)
-        elif isinstance(protocol, model.Csma):
-            protocol = model.Csma(
-                _delta_for_access(value, link.tx, scenario.roads))
-        else:
-            raise SchemaError("axis access_probability requires aloha or csma")
-    elif key == "p":
-        if not isinstance(protocol, model.Aloha):
-            raise SchemaError("sweep key p requires [mac] protocol aloha")
-        protocol = model.Aloha(p=value)
-    else:
-        if not isinstance(protocol, model.Csma):
-            raise SchemaError("sweep key delta_m requires [mac] protocol csma")
-        protocol = model.Csma(delta=value)
-    return dataclasses.replace(scenario, mac=protocol), link
-
-
 def _sweep_points(plan: RunPlan, sweep: SweepSpec) -> list[_Point]:
+    """Each point walks its sweep's keys in order, overrides then the axis
+    (``_SETS`` lists what each sets), and builds its link and scenario once."""
+    base, roads = plan.link, plan.scenario.roads
     points = []
     try:
         for value in sweep.values:
-            point = _Point(sweep, value, plan.scenario, plan.link)
-            for key, override in (*sweep.overrides,
-                                  (_AXIS_COLUMN[sweep.axis], value)):
-                point.scenario, point.link = _apply(
-                    point.scenario, point.link, key, override)
+            point = _Point(sweep, value, plan.scenario, base)
+            tx, rx, protocol = base.tx, base.rx, plan.scenario.mac
+            for key, v in (*sweep.overrides, (_AXIS_COLUMN[sweep.axis], value)):
+                if key == "distance_m":
+                    tx = model.Position(rx.x + v, 0.0)
+                elif key == "d_m":
+                    rx = model.Position(v, 0.0)
+                elif key == "tx_x_m":
+                    tx = model.Position(v, tx.y)
+                elif key == "tx_y_m":
+                    tx = model.Position(tx.x, v)
+                elif key == "rx_x_m":
+                    rx = model.Position(v, rx.y)
+                elif key == "p" and isinstance(protocol, model.Aloha):
+                    protocol = model.Aloha(p=v)
+                elif key == "delta_m" and isinstance(protocol, model.Csma):
+                    protocol = model.Csma(delta=v)
+                elif key in ("p", "delta_m"):
+                    needs = "aloha" if key == "p" else "csma"
+                    raise SchemaError(f"sweep key {key} requires [mac] protocol {needs}")
+                elif isinstance(protocol, model.Aloha):  # key p_a from here on
+                    if not 0.0 < v <= 1.0:
+                        raise SchemaError(f"access_probability {v} out of (0, 1]")
+                    protocol = model.Aloha(p=v)
+                elif isinstance(protocol, model.Csma):
+                    protocol = model.Csma(_delta_for_access(v, tx, roads))
+                else:
+                    raise SchemaError(
+                        "axis access_probability requires aloha or csma")
+            point.link = replace(base, tx=tx, rx=rx)
+            if protocol is not plan.scenario.mac:
+                point.scenario = replace(plan.scenario, mac=protocol)
             report = model.validate(point.scenario, point.link)
             if not report.ok:
                 raise SchemaError("; ".join(report.violations))

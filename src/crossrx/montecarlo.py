@@ -407,16 +407,6 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
         def clear(tx: Position) -> list:
             return [_clear_of_tx(road, pos, tx, delta)
                     for road, _, _, pos, _ in retained]
-
-        @functools.cache
-        def interference(rx: Position, tx: Position) -> np.ndarray:
-            total = np.zeros(nrows)
-            for (_, _, row, _, _), road_gains, road_clear in zip(
-                    retained, gains(rx), clear(tx)):
-                total += np.bincount(row[road_clear],
-                                     weights=road_gains[road_clear],
-                                     minlength=nrows)
-            return total
     else:
         totals = _aloha_interference(scenario, chunk,
                                      [link.rx for link in links])
@@ -424,8 +414,15 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
     fails = np.zeros(len(links), dtype=np.int64)
     for li, link in enumerate(links):
         # CSMA's kill disc makes interference depend on the transmitter.
-        total = (interference(link.rx, link.tx) if is_csma
-                 else totals[link.rx])
+        if is_csma:
+            total = np.zeros(nrows)
+            for (_, _, row, _, _), road_gains, road_clear in zip(
+                    retained, gains(link.rx), clear(link.tx)):
+                total += np.bincount(row[road_clear],
+                                     weights=road_gains[road_clear],
+                                     minlength=nrows)
+        else:
+            total = totals[link.rx]
         gain = path_loss(scenario.loss_useful, link.tx, link.rx)
         tilde_n = link.noise_w / link.power_w
         fails[li] = int(np.count_nonzero(

@@ -91,7 +91,7 @@ def sample_fading_array(f: FadingSpec, rng: np.random.Generator,
 
     Erlang uses the gamma sampler directly rather than materializing k
     exponentials per cell; the law is identical. LogNormal draws have
-    unit median.
+    unit median; one that overflows raises ``FloatingPointError``.
     """
 
     # Scaled in place: the same bits as the plain expressions, without a
@@ -103,7 +103,8 @@ def sample_fading_array(f: FadingSpec, rng: np.random.Generator,
     if isinstance(f, LogNormal):
         x = rng.standard_normal(size=shape)
         x *= f.sigma_db * _DB_TO_LN
-        return np.exp(x, out=x)
+        with np.errstate(over="raise"):
+            return np.exp(x, out=x)
     raise UnsupportedDistribution(f"cannot sample {f!r}")
 
 

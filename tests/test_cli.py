@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from crossrx import (Aloha, LogNormal, Position, RoadConfig,
+from crossrx import (Aloha, LinkSpec, LogNormal, Position, RoadConfig,
                      access_probability, analytic_view, reception_probability)
 from crossrx import cli
 from crossrx.cli import (AxisMismatch, SchemaError, UnknownPreset,
@@ -258,8 +258,26 @@ COMPARE_B = ("distance_m,outage_mc,mc_stderr\n"
      .replace("0.101", "0.1").replace("0.199", "0.2"), "stderr:3", 2,
      "value columns outage_analytic and throughput_mc hold different "
      "outputs"),
+    # Files that do not line up.
+    (COMPARE_A, "distance_m\n100\n200\n", "stderr:3", 2,
+     "no value column (*_analytic or *_mc) found"),
+    (COMPARE_A, COMPARE_B.replace("distance_m", "d_m"), "stderr:3", 2,
+     "identity columns differ: ['distance_m'] vs ['d_m']"),
+    (COMPARE_A, COMPARE_B.rsplit("200,", 1)[0], "stderr:3", 2,
+     "row counts differ: 2 vs 1"),
+    (COMPARE_A, COMPARE_B, "abs:x", 2,
+     "tolerance 'abs:x': could not convert string to float: 'x'"),
+    # The error bars come from whichever file has them.
+    (COMPARE_B, COMPARE_A, "stderr:3", 0, "PASS"),
+    (COMPARE_B, COMPARE_A.replace("0.1\n", "0.2\n"), "stderr:3", 1,
+     "FAIL at row 0 (outage_mc vs outage_analytic, distance_m=100): "
+     "|delta| = 9.900e-02 > allowed 6.000e-03"),
+    (COMPARE_A, COMPARE_A, "stderr:3", 2,
+     "stderr tolerance needs an mc_stderr column"),
 ], ids=["pass", "nan-value", "inf-stderr", "non-numeric", "no-rows",
-        "abs-nan", "stderr-inf", "abs-negative", "different-outputs"])
+        "abs-nan", "stderr-inf", "abs-negative", "different-outputs",
+        "no-value-column", "identity-columns", "row-counts", "abs-text",
+        "stderr-in-first", "stderr-in-first-fails", "stderr-in-neither"])
 def test_compare_checks_its_input(tmp_path, capsys, a, b, tol, code, message):
     (tmp_path / "a.csv").write_text(a)
     (tmp_path / "b.csv").write_text(b)
@@ -267,6 +285,14 @@ def test_compare_checks_its_input(tmp_path, capsys, a, b, tol, code, message):
                  "--tol", tol]) == code
     out = capsys.readouterr()
     assert message in (out.err if code == 2 else out.out)
+
+
+def test_compare_missing_file(tmp_path, capsys):
+    (tmp_path / "a.csv").write_text(COMPARE_A)
+    missing = tmp_path / "missing.csv"
+    assert main(["compare", str(tmp_path / "a.csv"), str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read {missing}: ")
 
 
 def test_compare_across_engines(tmp_path):
@@ -363,6 +389,32 @@ def test_schema_errors(mutate, match, tmp_path, capsys):
     cfg.write_text(text)
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert re.search(match, capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_ranges_are_bounded():
+    # Counted before any point is built: 0:1e8:1 would be about 3 GB.
+    assert len(cli._parse_values("0:99999:1")) == 100_000
+    with pytest.raises(SchemaError, match=re.escape(
+            "range '0:1e6:1' has 1000001 points, more than 100000")):
+        cli._parse_values("0:1e6:1")
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda t: "lambda_h_per_m = 0.01\n" + t,
+     "error: File contains no section headers."),
+    (lambda t: t + "\n[sweep:second]\naxis = aloha_p\nvalues = 0.01\n"
+     "output = outage\nengines = both\n",
+     "error: sweep 'second' output 'outage' does not match the "
+     "axis/override/engine layout of an earlier sweep\n"),
+    (lambda t: t.replace("p = 0.01", "p = 1.5"),
+     "error: invalid scenario: mac: Aloha p must lie in [0, 1], got 1.5\n"),
+])
+def test_config_errors_before_any_point(mutate, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(mutate(BASE_CONFIG))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(message)
     assert list(tmp_path.iterdir()) == [cfg]
 
 
@@ -530,6 +582,20 @@ def test_point_construction_failure_names_its_point(tmp_path, capsys):
     # A model.validate violation at the point.
     (lambda t: t + "p = 1.5\n",
      "tx_rx_distance = 100.0: mac: Aloha p must lie in [0, 1], got 1.5"),
+    # A MAC override of the other protocol.
+    (lambda t: t.replace("protocol = aloha\np = 0.01",
+                         "protocol = csma\ndelta_m = 100") + "p = 0.1\n",
+     "tx_rx_distance = 100.0: sweep key p requires [mac] protocol aloha"),
+    (lambda t: t + "delta_m = 100\n",
+     "tx_rx_distance = 100.0: sweep key delta_m requires [mac] protocol csma"),
+    # On empty roads no sensing radius lowers the access probability.
+    (lambda t: t.replace("protocol = aloha\np = 0.01",
+                         "protocol = csma\ndelta_m = 100")
+     .replace("_per_m = 0.01", "_per_m = 0")
+     .replace("tx_rx_distance\nvalues = 100, 200, 300",
+              "access_probability\nvalues = 0.05"),
+     "access_probability = 0.05: "
+     "cannot reach access probability 0.05 at tx: roads too sparse"),
 ])
 def test_point_config_errors_name_their_point(mutate, where, tmp_path,
                                               capsys):
@@ -538,6 +604,27 @@ def test_point_config_errors_name_their_point(mutate, where, tmp_path,
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: sweep 'main' at {where}\n"
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_transmitter_overrides_move_the_transmitter(tmp_path):
+    # tx_x_m and tx_y_m together put the transmitter on the V road, at
+    # every receiver the axis places.
+    text = BASE_CONFIG.replace(
+        "axis = tx_rx_distance\nvalues = 100, 200, 300\n"
+        "output = outage\nengines = both",
+        "axis = rx_to_intersection_d\nvalues = 10, 60, 110\n"
+        "output = outage\nengines = analytic\ntx_x_m = 0\ntx_y_m = 50")
+    run_config_text(text, out_dir=str(tmp_path))
+    fields, rows = read_rows(tmp_path / "tiny_outage.csv")
+    assert fields == ["d_m", "tx_x_m", "tx_y_m", "outage_analytic"]
+    plan = parse(text)
+    for row in rows:
+        link = LinkSpec(tx=Position(0.0, 50.0),
+                        rx=Position(float(row["d_m"]), 0.0),
+                        power_w=plan.link.power_w, noise_w=plan.link.noise_w,
+                        beta=plan.link.beta)
+        assert float(row["outage_analytic"]) == (
+            1.0 - reception_probability(plan.scenario, link))
 
 
 def test_underflowing_useful_gain_is_an_outage(tmp_path):
@@ -565,6 +652,21 @@ def test_overflowing_surrogate_fit_is_a_numeric_failure(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "numeric failure in sweep 'main' at tx_rx_distance = 100.0: "
         "FitDegenerate: ")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_overflowing_lognormal_draw_is_a_numeric_failure(tmp_path, capsys):
+    # exp of a 1000 dB spread overflows for one normal draw in a thousand.
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(BASE_CONFIG.replace(
+        "[fading_useful]\nfamily = exponential\ntheta = 1",
+        "[fading_useful]\nfamily = lognormal\nsigma_db = 1000").replace(
+        "engines = both", "engines = montecarlo"))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure in sweep 'main' at tx_rx_distance = 100.0 "
+        "(and 2 more points of its scenario): "
+        "FloatingPointError: overflow encountered in exp\n")
     assert list(tmp_path.iterdir()) == [cfg]
 
 

@@ -102,6 +102,23 @@ def test_validate_flags_bad_link(make_scenario, make_link):
     assert not validate(make_scenario(Aloha(0.005)), nan_pos).ok
 
 
+def test_validate_names_each_violation(make_scenario, make_link):
+    link = make_link((100, 0), (0, 0))
+    scen = make_scenario(Aloha(0.005))
+    for bad, violation in [
+            (dataclasses.replace(link, noise_w=-1e-13),
+             "link: noise_w must be >= 0, got -1e-13"),
+            (dataclasses.replace(link, beta=0.0),
+             "link: beta must be positive, got 0.0")]:
+        assert validate(scen, bad).violations == (violation,)
+    for bad, violation in [
+            (dataclasses.replace(scen, fading_h="rician"),
+             "fading_h: unknown fading spec 'rician'"),
+            (dataclasses.replace(scen, mac="tdma"),
+             "mac: unknown protocol 'tdma'")]:
+        assert validate(bad).violations == (violation,)
+
+
 def test_validate_warns_near_intersection_nlos(make_scenario, make_link):
     canyon = PathLossSpec("manhattan", 3e-5, 2.0)
     scen = make_scenario(Aloha(0.005), loss_useful=canyon, loss_v=canyon)

@@ -642,6 +642,19 @@ def test_batch_failure_names_its_job(make_scenario, make_link, monkeypatch):
         assert info.value.job == 1
 
 
+def test_planning_failure_names_its_job(make_scenario, make_link):
+    # With alpha = 1 the truncation tail bound divides by alpha - 1 while
+    # the batch is planned, before any chunk is drawn.
+    flat = PathLossSpec(EUCLIDEAN, 3e-5, 1.0)
+    link = make_link((100.0, 0.0), (0.0, 0.0))
+    jobs = [(make_scenario(Aloha(0.05)), [link]),
+            (make_scenario(Aloha(0.05), loss_h=flat), [link])]
+    settings = SimSettings(realizations=100, window_half_length=3000.0)
+    with pytest.raises(ZeroDivisionError) as info:
+        simulate_outages(jobs, settings)
+    assert info.value.job == 1
+
+
 def test_grouped_failure_names_the_first_job(make_scenario, make_link,
                                              monkeypatch):
     # Jobs 1 and 2 share every chunk's draws. Job 2 fails in chunk 0 and
