@@ -40,8 +40,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
-
 from . import analytic, mac, model, propagation
 # Re-exported: perfbench warms the surrogate fit cache through it.
 from .analytic import analytic_view  # noqa: F401
@@ -282,7 +280,11 @@ def _parse_sweep(cp, section) -> SweepSpec:
     if axis not in _AXIS_COLUMN:
         raise SchemaError(f"[{section}] unknown axis {axis!r}"
                           + _suggest(axis, _AXIS_COLUMN))
-    values = _parse_values(_value(cp, section, "values", str))
+    text = _value(cp, section, "values", str)
+    try:
+        values = _parse_values(text)
+    except SchemaError as exc:
+        raise SchemaError(f"[{section}] values: {exc}") from exc
     outputs = tuple(
         part.strip().lower()
         for part in _value(cp, section, "output", str).split(","))
@@ -367,6 +369,11 @@ def _parse_config(cp: configparser.ConfigParser) -> RunPlan:
     except ValueError as exc:
         raise SchemaError(f"[sim] {exc}") from exc
     prefix = _value(cp, "output", "prefix", str)
+    # The CSVs are written only after every engine has run, so a prefix
+    # naming a directory that may not exist fails here, before them.
+    if any(sep and sep in prefix for sep in ("/", os.sep, os.altsep)):
+        raise SchemaError(f"[output] prefix {prefix!r} must be a file name "
+                          "without a directory; use --out-dir")
     sweeps = tuple(_parse_sweep(cp, s) for s in sweep_sections)
 
     report = model.validate(scenario, link)
@@ -432,7 +439,10 @@ def _delta_for_access(p_a: float, tx: model.Position,
 def _bracketed_root(f, lo: float, hi: float, p_a: float, xtol: float) -> float:
     """brentq's root of f in [lo, hi]. For p_a close enough to 1 the mass
     root, about 2 (1 - p_a), falls below 1e-12 or the delta root below
-    1e-9 m; then f has no sign change on the bracket and p_a is rejected."""
+    1e-9 m; then f has no sign change on the bracket and p_a is rejected.
+    scipy.optimize is imported here, on the first inversion, not at start-up."""
+    from scipy.optimize import brentq
+
     try:
         return brentq(f, lo, hi, xtol=xtol, rtol=1e-14)
     except ValueError:

@@ -11,7 +11,9 @@ across runs and safe to call from worker threads.
 
 Gamma and the adaptive quadrature core are delegated to scipy (Lanczos
 gamma, QUADPACK with its built-in compactifying transform for infinite
-limits); the hypergeometric series and the derivative stencils are local
+limits). ``scipy.integrate`` is imported on the first quadrature, not
+with this module, so runs that need only closed forms never load it; the
+hypergeometric series and the derivative stencils are local
 because we need tight control over the z <= 0 regime and the step
 schedule.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-import scipy.integrate
 import scipy.special
 
 
@@ -129,6 +130,8 @@ def integrate_line(
     exclusion edges); the domain is split there so subdivision does not
     stall hunting for the kink. Returns (value, error estimate).
     """
+
+    import scipy.integrate  # also loads scipy.optimize, sparse and linalg
 
     cuts = sorted({float(b) for b in breakpoints if math.isfinite(b)})
     bounds = [-math.inf, *cuts, math.inf]

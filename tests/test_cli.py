@@ -1,15 +1,19 @@
 import configparser
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from crossrx import (Aloha, LinkSpec, LogNormal, Position, RoadConfig,
+from crossrx import (Aloha, Csma, LinkSpec, LogNormal, Position, RoadConfig,
                      access_probability, analytic_view, reception_probability)
 from crossrx import cli
 from crossrx.cli import (AxisMismatch, SchemaError, UnknownPreset,
@@ -416,6 +420,91 @@ def test_config_errors_before_any_point(mutate, message, tmp_path, capsys):
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(message)
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_values_errors_name_their_sweep(tmp_path, capsys):
+    text = BASE_CONFIG + ("\n[sweep:second]\naxis = tx_rx_distance\n"
+                          "values = 0:1e8:1\noutput = outage\nengines = both\n")
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [sweep:second] values: range '0:1e8:1' has 100000001 "
+        "points, more than 100000\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("prefix", ["a/b", "../tiny"])
+def test_prefix_with_a_directory_fails_before_the_engines(
+        prefix, tmp_path, capsys, monkeypatch):
+    def engine(*args):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(cli, "_analytic", engine)
+    monkeypatch.setattr(cli, "_monte_carlo", engine)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(BASE_CONFIG.replace("prefix = tiny", f"prefix = {prefix}"))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: [output] prefix {prefix!r} must be a file name")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+# Runs in a fresh interpreter, since this one has scipy.integrate loaded
+# already: reads a config on stdin, runs it into ./out, then prints which
+# of the two lazily imported scipy modules are loaded.
+_IMPORT_PROBE = """\
+import sys
+import crossrx, crossrx.cli
+from crossrx.cli import main, run_config_text
+run_config_text(sys.stdin.read(), out_dir="out")
+{more}
+print(*(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+"""
+
+
+def _scipy_loaded_by(text, tmp_path, more=""):
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE.format(more=more)], input=text,
+        capture_output=True, text=True, cwd=tmp_path, env=env, check=True)
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_closed_form_runs_load_neither_quadpack_nor_brentq(tmp_path):
+    more = ('assert main(["fit-erlang", "--sigma-db", "3.2"]) == 0\n'
+            'assert main(["preset", "fig2", "--emit-config"]) == 0\n'
+            'assert main(["compare", "out/tiny_outage.csv", '
+            '"out/tiny_outage.csv", "--tol", "abs:1e-9"]) == 0')
+    assert _scipy_loaded_by(BASE_CONFIG, tmp_path, more) == []
+    _, rows = read_rows(tmp_path / "out" / "tiny_outage.csv")
+    assert len(rows) == 3
+
+
+def test_csma_access_sweep_loads_quadpack_and_brentq(tmp_path):
+    text = BASE_CONFIG.replace(
+        "protocol = aloha\np = 0.01", "protocol = csma\ndelta_m = 100")
+    text = text.replace("tx_x_m = 100", "tx_x_m = 0")
+    text = text.replace(
+        "axis = tx_rx_distance\nvalues = 100, 200, 300\n"
+        "output = outage\nengines = both",
+        "axis = access_probability\nvalues = 0.05, 0.1\n"
+        "output = outage\nengines = analytic\nrx_x_m = 100")
+    assert _scipy_loaded_by(text, tmp_path) == ["scipy.integrate",
+                                                "scipy.optimize"]
+    plan = parse(text)
+    link = LinkSpec(tx=Position(0.0, 0.0), rx=Position(100.0, 0.0),
+                    power_w=plan.link.power_w, noise_w=plan.link.noise_w,
+                    beta=plan.link.beta)
+    _, rows = read_rows(tmp_path / "out" / "tiny_outage.csv")
+    assert [float(row["p_a"]) for row in rows] == [0.05, 0.1]
+    for row in rows:
+        delta = _delta_for_access(float(row["p_a"]), link.tx, plan.scenario.roads)
+        scenario = dataclasses.replace(plan.scenario, mac=Csma(delta=delta))
+        assert float(row["outage_analytic"]) == (
+            1.0 - reception_probability(scenario, link))
 
 
 def test_delta_for_access_roundtrip():
