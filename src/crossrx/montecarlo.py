@@ -31,17 +31,19 @@ Each road's draws are padded (realization x node) arrays whose rows hold
 their nodes as a prefix. After all of a chunk's draws, every padded
 position is set to +inf; that is the one padding rule. An interferer's
 gain at a receiver is fad * A * r^-alpha, taken as (r^2)^(-alpha / 2)
-of the squared distance with no square root (at alpha = 2 one
-reciprocal per node), so a padded cell's gain is exactly +0.0 on every
-road and norm, and padded cells sort after every node. The useful link
-keeps ``propagation.path_loss``.
+of the squared distance with no square root (at alpha = 2 a true
+``np.reciprocal`` per node, with the bits of ``** -1.0``), so a padded
+cell's gain is exactly +0.0 on every road and norm, and padded cells
+sort after every node. The useful link keeps ``propagation.path_loss``.
 
 Per-chunk work. Aloha keeps every drawn node (its thinning is folded
 into the draw), so its interference is a sum of gains over the padded
-arrays. It takes one pass per road over blocks of whole rows, and
-evaluates every distinct receiver of the job on a block while the block
-is in cache; each row is still summed over its full padded width, so
-every receiver's totals have the bits of a sum over the whole arrays.
+arrays. It takes one pass per road over blocks of whole rows, and all
+distinct receivers of the job share one broadcast block (receiver x
+row x node), so each numpy call covers every receiver; each row is
+still summed over its full padded width along the block's last axis,
+so every receiver's totals have the bits of a sum over the whole
+arrays.
 Under CSMA the chunk is drawn and retained in one call: it sorts each
 road's nodes by position and keys them once, and one call of the Matern
 II kernel gives the retained nodes' row-major indices at every delta of
@@ -79,9 +81,15 @@ from .propagation import path_loss, sample_fading_array
 _CELL_BUDGET_IID = 1 << 22
 _CELL_BUDGET_MATERN = 1 << 18
 _MAX_ROWS = 4096
-# Cells per block of the Aloha interference pass (_aloha_interference).
-# Blocks hold whole rows, so the block size does not change the bits.
-_BLOCK_CELLS = 1 << 15
+# Cells per broadcast block of the Aloha interference pass
+# (_aloha_interference): all of a job's receivers share one block, and
+# each gain step (the squared distance, the power law, at alpha = 2 a
+# true reciprocal, the two products) is one numpy call on it. Blocks
+# hold whole rows, so the block size does not change the bits. At 2^15
+# the calls were too short to beat one call per receiver on
+# aloha-distance; 2^17 (1 MB) was faster and, with one buffer for both
+# roads, added under 1 MB of peak memory.
+_BLOCK_CELLS = 1 << 17
 # Sorted neighbours on each side that the Matern kernel compares a node
 # with before it runs the node's full window query.
 _NEIGHBOUR_SCREEN = 3
@@ -282,35 +290,45 @@ def _plan_rows(scenario: Scenario, settings: SimSettings) -> int:
 
 
 def _weighted_gains(road: str, pos: np.ndarray, fad: np.ndarray,
-                    loss: PathLossSpec, rx: Position,
+                    loss: PathLossSpec, rx_x: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """fad * A * r^-alpha at ``rx``, written into ``out`` if given.
-    The power law is taken of the squared distance, (r^2)^(-alpha / 2),
-    so no cell needs a square root; at alpha = 2 the exponent is -1.0,
-    for which numpy's power is an exact reciprocal. Every step works in
-    place on a fresh or the given array."""
-    g = _road_distance_sq(road, pos, rx, loss.norm, out)
-    g **= -loss.alpha / 2.0
+    """fad * A * r^-alpha at each receiver (x, 0), x in ``rx_x``, as an
+    array of shape (len(rx_x),) + pos.shape, written into ``out`` if
+    given. Every step runs once for all receivers, broadcast along the
+    leading axis. The power law is taken of the squared distance,
+    (r^2)^(-alpha / 2), so no cell needs a square root; at alpha = 2 it
+    is a true reciprocal, which has the bits of ``**= -1.0`` at about
+    half its cost. Every step after the first works in place."""
+    x = rx_x.reshape((-1,) + (1,) * pos.ndim)
+    g = _road_distance_sq(road, pos, x, loss.norm, out)
+    if loss.alpha == 2.0:
+        np.reciprocal(g, out=g)
+    else:
+        g **= -loss.alpha / 2.0
     g *= loss.amplitude_a
     g *= fad
     return g
 
 
-def _road_distance_sq(road: str, positions: np.ndarray, rx: Position,
+def _road_distance_sq(road: str, positions: np.ndarray, x: np.ndarray,
                       norm: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distance from ``rx`` on the H road to nodes of ``road``:
-    (z - x)^2 on H, z^2 + x^2 on a Euclidean V road and (|z| + |x|)^2
-    on a Manhattan one."""
+    """Squared distance from receivers (x, 0) on the H road to nodes of
+    ``road``, broadcast over ``x`` and ``positions``: (z - x)^2 on H,
+    z^2 + x^2 on a Euclidean V road and (|z| + |x|)^2 on a Manhattan
+    one. On V, z^2 or |z| is taken once, into the first receiver's
+    slice, and every receiver's shift is added from there, so no
+    temporary array is made."""
+    if out is None:
+        out = np.empty(x.shape[:1] + positions.shape)
     if road == "h":
-        r = np.subtract(positions, rx.x, out=out)
-    elif norm == EUCLIDEAN:
-        r = np.square(positions, out=out)
-        r += rx.x * rx.x
-        return r
-    else:
-        r = np.abs(positions, out=out)
-        r += abs(rx.x)
-    return np.square(r, out=r)
+        np.subtract(positions, x, out=out)
+        return np.square(out, out=out)
+    euclid = norm == EUCLIDEAN
+    base = (np.square if euclid else np.abs)(positions, out=out[0])
+    shift = x * x if euclid else np.abs(x)
+    np.add(base, shift[1:], out=out[1:])
+    base += shift[0]
+    return out if euclid else np.square(out, out=out)
 
 
 def _aloha_interference(scenario: Scenario, chunk: _Chunk,
@@ -318,28 +336,33 @@ def _aloha_interference(scenario: Scenario, chunk: _Chunk,
     """Per-realization interference at each receiver on one chunk's
     padded draws, H road then V, as {receiver: totals}.
 
-    Each road is walked once, in blocks of whole rows of about
-    _BLOCK_CELLS cells; every receiver is evaluated on a block while its
-    positions and fading are in cache, into one reused buffer. Padded
-    cells, at +inf, have gain +0.0, and every row is summed over its
-    full padded width, so a receiver's totals do not depend on the block
-    size or on the other receivers."""
+    Each road is walked once, in blocks of whole rows; one broadcast
+    block holds every distinct receiver's gains for those rows, about
+    _BLOCK_CELLS cells in all (one row per block at least), so each
+    numpy call covers all receivers at once; both roads' blocks reuse
+    one buffer. Padded cells, at +inf, have gain +0.0, and every row is
+    summed over its full padded width along the block's last, contiguous
+    axis, so a receiver's totals do not depend on the block size or on
+    the other receivers."""
     nrows = len(chunk.s0)
-    totals = {rx: np.zeros(nrows) for rx in receivers}
+    distinct = list(dict.fromkeys(receivers))
+    nrx = len(distinct)
+    rx_x = np.array([rx.x for rx in distinct])
+    totals = np.zeros((nrx, nrows))
+    buf = np.empty(max(_BLOCK_CELLS, nrx * max(p.shape[1] for p in chunk.pos)))
     for road, pos, fad, loss in zip(_ROADS, chunk.pos, chunk.fad,
                                     (scenario.loss_h, scenario.loss_v)):
         cols = pos.shape[1]
         if not cols:
             continue
-        step = max(1, _BLOCK_CELLS // cols)
-        buf = np.empty(min(step, nrows) * cols)
+        row_cells = nrx * cols
+        step = max(1, _BLOCK_CELLS // row_cells)
         for lo in range(0, nrows, step):
             hi = min(lo + step, nrows)
-            out = buf[:(hi - lo) * cols].reshape(hi - lo, cols)
-            for rx, total in totals.items():
-                _weighted_gains(road, pos[lo:hi], fad[lo:hi], loss, rx, out)
-                total[lo:hi] += out.sum(axis=1)
-    return totals
+            out = buf[:(hi - lo) * row_cells].reshape(nrx, hi - lo, cols)
+            _weighted_gains(road, pos[lo:hi], fad[lo:hi], loss, rx_x, out)
+            totals[:, lo:hi] += out.sum(axis=-1)
+    return dict(zip(distinct, totals))
 
 
 @dataclass(frozen=True)
@@ -400,7 +423,7 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
 
         @functools.cache
         def gains(rx: Position) -> list:
-            return [_weighted_gains(road, pos, fad, loss, rx)
+            return [_weighted_gains(road, pos, fad, loss, np.array([rx.x]))[0]
                     for road, loss, _, pos, fad in retained]
 
         @functools.cache

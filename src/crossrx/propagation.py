@@ -90,14 +90,18 @@ def sample_fading_array(f: FadingSpec, rng: np.random.Generator,
     """Fading draws of the given shape.
 
     Erlang uses the gamma sampler directly rather than materializing k
-    exponentials per cell; the law is identical. LogNormal draws have
-    unit median; one that overflows raises ``FloatingPointError``.
+    exponentials per cell; the law is identical. At k = 1 it calls the
+    exponential sampler, which numpy's gamma sampler calls for shape 1,
+    so the values and the stream position are those of
+    ``standard_gamma(1.0)``. LogNormal draws have unit median; one that
+    overflows raises ``FloatingPointError``.
     """
 
     # Scaled in place: the same bits as the plain expressions, without a
     # second full-size array.
     if isinstance(f, Erlang):
-        x = rng.standard_gamma(float(f.k), size=shape)
+        x = (rng.standard_exponential(size=shape) if f.k == 1
+             else rng.standard_gamma(float(f.k), size=shape))
         x *= f.theta
         return x
     if isinstance(f, LogNormal):

@@ -367,13 +367,17 @@ def loss(norm, alpha):
     # H rows wider than a block, no V node in any row
     (3, 40000.0, 0.0, loss("euclidean", 2.0), loss("euclidean", 3.0),
      (LogNormal(3.2), Exponential())),
+    # A row fits in a block, but not once per receiver: one row a block
+    (40, 8000.0, 50.0, loss("euclidean", 2.0), loss("manhattan", 3.0),
+     (Exponential(), Erlang(3, 0.4))),
 ])
 @pytest.mark.parametrize("block_cells", [None, 7])
 def test_aloha_pass_matches_per_receiver_formula(
         make_scenario, monkeypatch, rows, mean_h, mean_v, loss_h, loss_v,
         fading, block_cells):
     # The blocked pass over all receivers must give every receiver's
-    # per-realization totals bit for bit, whatever the block size.
+    # per-realization totals bit for bit, whatever the block size and
+    # whatever the order or repeats of the receivers.
     if block_cells is not None:
         monkeypatch.setattr(montecarlo, "_BLOCK_CELLS", block_cells)
     rng = philox(5, rows)
@@ -386,13 +390,20 @@ def test_aloha_pass_matches_per_receiver_formula(
     receivers = [Position(0.0, 0.0), Position(110.0, 0.0),
                  Position(0.0, 0.0), Position(-37.5, 0.0),
                  Position(2500.0, 0.0), Position(110.0, 0.0)]
+    # 24 distinct receivers in all
+    receivers += [Position(250.0 * i - 2999.5, 0.0) for i in range(20)]
     totals = _aloha_interference(scen, chunk, receivers)
-    assert set(totals) == set(receivers)
+    assert set(totals) == set(receivers) and len(totals) == 24
     for rx in receivers:
         expected = per_receiver_interference(scen, chunk,
                                              (valid_h, valid_v), rx)
         assert (expected > 0.0).all()
         assert (totals[rx] == expected).all(), rx
+    for others in (receivers[::-1], receivers[3:] + receivers):
+        again = _aloha_interference(scen, chunk, others)
+        assert set(again) == set(receivers)
+        for rx in receivers:
+            assert (again[rx] == totals[rx]).all(), rx
 
 
 @pytest.mark.parametrize("road, norm", [
@@ -417,14 +428,15 @@ def test_weighted_gains_match_the_power_law(road, norm, alpha):
         else:
             r = abs(x) + np.abs(pos)
         expected = fad * (loss.amplitude_a * r ** -alpha)
-        flat = _weighted_gains(road, pos.ravel(), fad.ravel(), loss, rx)
+        flat = _weighted_gains(road, pos.ravel(), fad.ravel(), loss,
+                               np.array([x]))[0]
         np.testing.assert_allclose(flat, expected.ravel(), rtol=2e-15, atol=0)
         buf = np.full(pos.size + 5, np.nan)
-        out = buf[:pos.size].reshape(pos.shape)
-        assert _weighted_gains(road, pos, fad, loss, rx, out) is out
-        np.testing.assert_allclose(out, expected, rtol=2e-15, atol=0)
+        out = buf[:pos.size].reshape((1,) + pos.shape)
+        assert _weighted_gains(road, pos, fad, loss, np.array([x]), out) is out
+        np.testing.assert_allclose(out[0], expected, rtol=2e-15, atol=0)
         assert np.isnan(buf[pos.size:]).all()
-        for z, f, g in zip(pos[0, :8], fad[0, :8], out[0, :8]):
+        for z, f, g in zip(pos[0, :8], fad[0, :8], out[0, 0, :8]):
             node = Position(z, 0.0) if road == "h" else Position(0.0, z)
             assert g == pytest.approx(path_loss(loss, node, rx) * f,
                                       rel=2e-15, abs=0)
@@ -432,10 +444,23 @@ def test_weighted_gains_match_the_power_law(road, norm, alpha):
         # floating-point exception is raised on the way.
         padded = np.full(pos.shape, np.inf)
         with np.errstate(all="raise"):
-            flat = _weighted_gains(road, padded.ravel(), fad.ravel(), loss, rx)
-            assert _weighted_gains(road, padded, fad, loss, rx, out) is out
+            flat = _weighted_gains(road, padded.ravel(), fad.ravel(), loss,
+                                   np.array([x]))[0]
+            assert _weighted_gains(road, padded, fad, loss, np.array([x]),
+                                   out) is out
         for g in (flat, out):
             assert (g == 0.0).all() and not np.signbit(g).any()
+
+
+def test_reciprocal_has_the_bits_of_power_minus_one():
+    # The gain kernel takes np.reciprocal at alpha = 2 in place of
+    # ``** -1.0``; the output bits rest on the two being equal.
+    rng = philox(4, 0)
+    x = np.concatenate((
+        [np.inf, 5e-324, 1e-310, 1e300, np.finfo(float).max],
+        np.exp(rng.uniform(-700.0, 700.0, 10 ** 6))))
+    with np.errstate(all="ignore"):
+        assert np.array_equal(np.reciprocal(x), x ** -1.0)
 
 
 @pytest.mark.parametrize("macs", [[Aloha(0.3)], [Csma(150.0), Csma(400.0)]])

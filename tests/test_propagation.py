@@ -125,6 +125,17 @@ def test_sample_fading_array_is_bitwise_the_plain_expression(fading, plain):
         assert (got == want).all()
 
 
+def test_exponential_sampler_has_the_bits_of_gamma_one():
+    # Erlang k = 1 fading is drawn with standard_exponential, which must
+    # give standard_gamma(1.0)'s values and leave the stream where it
+    # leaves it.
+    a = np.random.Generator(np.random.Philox(key=[9, 2]))
+    b = np.random.Generator(np.random.Philox(key=[9, 2]))
+    for n in (1, 77, 1 << 20):
+        assert (a.standard_exponential(n) == b.standard_gamma(1.0, n)).all()
+        assert (a.random(8) == b.random(8)).all()
+
+
 def test_erlang_fit_reference_spread():
     fit = erlang_fit(3.2)
     assert fit.k == 2
