@@ -5,7 +5,19 @@ MAC (independent thinning for Aloha, the exact Matern type II hard-core
 law for CSMA - deliberately not the PPP approximation, so the
 approximation error of the analytic CSMA model is measurable), draws
 per-interferer fading from the scenario's true distributions (log-normal
-included), and counts SINR failures.
+included), and estimates the outage probability P(SINR < beta).
+
+Estimator (conditional Monte Carlo, Rao-Blackwell; Asmussen & Glynn,
+Stochastic Simulation, 2007). Given a realization's interference I, the
+link fails iff the useful fading S0 < t = beta (N~ + I) / g, with g the
+useful path gain, so each realization contributes p_r = F_S0(t), the
+useful fading's CDF, instead of its 0/1 outcome. The mean of the p_r is
+unbiased for the outage, and since p_r is in [0, 1] its variance is at
+most the indicator's. Only the useful link's closed-form CDF enters
+(``propagation.fading_cdf_array``), no Laplace transform, so the oracle
+stays independent of the analytic engine. S0 is still drawn and the
+failures still counted; ``SimSettings(estimator="indicator")`` reports
+the failure fraction instead.
 
 Reproducibility contract: a run is a pure function of (scenario, links,
 settings). Realizations are processed in fixed-size chunks; chunk i draws
@@ -19,9 +31,10 @@ evaluates every chunk of every group on one pool of ``workers``
 threads, so a batch of one-chunk jobs runs in parallel too. Threads only
 decide who evaluates which chunk for which jobs (the Matern II retained
 nodes at one delta do not depend on the other deltas evaluated with
-it), and each job's failure counts are integer sums over its chunks, so
-any worker count and any batch composition produce bit-identical
-results.
+it). Each chunk gives every link its failure count and the mean and sum
+of squared deviations (M2) of its p_r, and each job merges its chunks'
+statistics in chunk order (Chan et al.'s pairwise update), so any worker
+count and any batch composition produce bit-identical results.
 
 Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
@@ -72,7 +85,7 @@ from .mac import access_probability_from_mass
 from .mac import access_probability  # noqa: F401
 from .model import (EUCLIDEAN, Aloha, Csma, LinkSpec, PathLossSpec, Position,
                     Scenario)
-from .propagation import path_loss, sample_fading_array
+from .propagation import fading_cdf_array, path_loss, sample_fading_array
 
 # Cells-per-chunk budgets keep peak memory flat as densities change. The
 # hard-core kernel keeps sorted copies of its arrays and per-delta work
@@ -94,16 +107,28 @@ _BLOCK_CELLS = 1 << 17
 # with before it runs the node's full window query.
 _NEIGHBOUR_SCREEN = 3
 _ROADS = ("h", "v")
+_ESTIMATORS = ("conditional", "indicator")
+# The smallest standard error reported: neither engine resolves an
+# outage probability finer than one unit in the last place of 1.0.
+STDERR_FLOOR = 2.0 ** -52
 
 
 @dataclass(frozen=True)
 class SimSettings:
+    """``estimator`` is "conditional" (the mean of the useful fading's CDF
+    per realization, see the module docstring) or "indicator" (the
+    fraction of failed realizations)."""
+
     realizations: int
     window_half_length: float = 20000.0
     seed: int = 0
     workers: int = 1
+    estimator: str = "conditional"
 
     def __post_init__(self) -> None:
+        if self.estimator not in _ESTIMATORS:
+            raise ValueError(f"estimator must be one of {_ESTIMATORS}, "
+                             f"got {self.estimator!r}")
         if self.realizations < 1:
             raise ValueError(
                 f"realizations must be >= 1, got {self.realizations}")
@@ -119,6 +144,12 @@ class SimSettings:
 
 @dataclass(frozen=True)
 class OutageEstimate:
+    """An outage estimate and its standard error, never below
+    ``STDERR_FLOOR``. Conditional: the sample standard error
+    sqrt(M2 / (n (n - 1))) of the n per-realization p_r, or at n = 1 the
+    bound sqrt(p (1 - p)) that any [0, 1]-valued draw obeys. Indicator:
+    the binomial sqrt(p (1 - p) / n)."""
+
     p_out: float
     std_err: float
 
@@ -405,8 +436,11 @@ def _draw_chunk(scenarios: list[Scenario], settings: SimSettings,
 
 
 def _job_chunk(scenario: Scenario, links: list[LinkSpec],
-               chunk: _Chunk) -> np.ndarray:
-    """Failure counts of ``links`` on one chunk's draws."""
+               chunk: _Chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per link of ``links``, on one chunk's draws: the failure count,
+    and the mean and M2 (sum of squared deviations from that mean) of
+    the conditional outage p_r = P(S0 < beta (N~ + I) / g) over the
+    chunk's realizations."""
     s0 = chunk.s0
     nrows = len(s0)
     is_csma = isinstance(scenario.mac, Csma)
@@ -434,7 +468,10 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
         totals = _aloha_interference(scenario, chunk,
                                      [link.rx for link in links])
 
-    fails = np.zeros(len(links), dtype=np.int64)
+    # Per link (a row each): beta (N~ + I) per realization, and the
+    # useful path gain.
+    need = np.empty((len(links), nrows))
+    gain = np.empty((len(links), 1))
     for li, link in enumerate(links):
         # CSMA's kill disc makes interference depend on the transmitter.
         if is_csma:
@@ -446,11 +483,24 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
                                      minlength=nrows)
         else:
             total = totals[link.rx]
-        gain = path_loss(scenario.loss_useful, link.tx, link.rx)
+        gain[li] = path_loss(scenario.loss_useful, link.tx, link.rx)
         tilde_n = link.noise_w / link.power_w
-        fails[li] = int(np.count_nonzero(
-            s0 * gain < link.beta * (tilde_n + total)))
-    return fails
+        np.multiply(link.beta, tilde_n + total, out=need[li])
+    fails = np.count_nonzero(s0 * gain < need, axis=1)
+    # The threshold on S0 is need / gain. With no useful signal it is
+    # +inf where anything is to be beaten and 0 where nothing is, as the
+    # strict comparison counts it; a threshold past the float range is
+    # +inf too, and P(S0 < inf) = 1.
+    dead = gain[:, 0] == 0.0
+    if dead.any():
+        need[dead] = np.where(need[dead] > 0.0, np.inf, 0.0)
+        gain[dead] = 1.0
+    with np.errstate(over="ignore"):
+        need /= gain
+    p = fading_cdf_array(scenario.fading_useful, need)
+    means = p.mean(axis=1)
+    p -= means[:, None]
+    return fails, means, np.square(p, out=p).sum(axis=1)
 
 
 def _warn(message: str) -> None:
@@ -494,10 +544,30 @@ def _truncation_warnings(scenario: Scenario, links: list[LinkSpec],
               "truncation bias - enlarge window_half_length to reduce it")
 
 
-def _estimate(fails: int, n: int) -> OutageEstimate:
-    p_out = float(fails) / n
+def _estimate(fails: int, mean: float, m2: float, n: int,
+              estimator: str) -> OutageEstimate:
+    """The reported estimate of a link with these merged statistics over
+    n realizations; see OutageEstimate."""
+    if estimator == "indicator":
+        p_out = float(fails) / n
+        var = p_out * (1.0 - p_out) / n
+    else:
+        p_out = float(mean)
+        var = m2 / (n * (n - 1.0)) if n > 1 else p_out * (1.0 - p_out)
     return OutageEstimate(p_out=p_out,
-                          std_err=math.sqrt(p_out * (1.0 - p_out) / n))
+                          std_err=max(math.sqrt(var), STDERR_FLOOR))
+
+
+def _merge(acc: list, part: tuple, n_b: int) -> None:
+    """Fold one chunk's per-link (fails, mean, M2) over n_b realizations
+    into ``acc`` = [n_a, fails, mean, M2], the statistics of the n_a
+    realizations before it, by Chan et al.'s pairwise update; from
+    n_a = 0 it copies the chunk's values exactly."""
+    n_a, fails, mean, m2 = acc
+    n = n_a + n_b
+    delta = part[1] - mean
+    acc[:] = (n, fails + part[0], mean + delta * (n_b / n),
+              m2 + part[2] + delta * delta * (n_a * n_b / n))
 
 
 def _group_key(job: int, scenario: Scenario):
@@ -577,20 +647,24 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
                 max_workers=min(settings.workers, len(tasks))) as pool:
             results = list(pool.map(run, tasks))
 
-    fails = [np.zeros(len(links), dtype=np.int64) for _, links in jobs]
+    # Per job: [realizations merged, then per link fails, mean, M2]. A
+    # job's chunks come in chunk order, whatever the worker count.
+    stats = [[0, np.zeros(len(links), dtype=np.int64), np.zeros(len(links)),
+              np.zeros(len(links))] for _, links in jobs]
     first = None  # (job, chunk index, exception) of the first failure
-    for (members, idx, _), outcomes in zip(tasks, results):
+    for (members, idx, nrows), outcomes in zip(tasks, results):
         for job, outcome in zip(members, outcomes):
             if isinstance(outcome, Exception):
                 if first is None or (job, idx) < first[:2]:
                     first = (job, idx, outcome)
             else:
-                fails[job] += outcome
+                _merge(stats[job], outcome, nrows)
     if first is not None:
         job, _, exc = first
         exc.job = job
         raise exc
-    return [[_estimate(f, n) for f in job_fails] for job_fails in fails]
+    return [[_estimate(*link, n, settings.estimator)
+             for link in zip(*job_stats[1:])] for job_stats in stats]
 
 
 def simulate_outage_sweep(scenario: Scenario, links: list[LinkSpec],
@@ -600,7 +674,9 @@ def simulate_outage_sweep(scenario: Scenario, links: list[LinkSpec],
     All links are evaluated on the same realizations (one set of draws
     per chunk), which shares the expensive sampling across a sweep;
     estimates are therefore correlated across links but each is unbiased
-    and carries its own binomial standard error.
+    and carries its own standard error (see OutageEstimate): by default
+    the sample standard error of the conditional outage per realization,
+    which is never above the indicator's binomial one but for rounding.
     """
 
     return simulate_outages([(scenario, links)], settings)[0]

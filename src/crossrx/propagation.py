@@ -112,6 +112,27 @@ def sample_fading_array(f: FadingSpec, rng: np.random.Generator,
     raise UnsupportedDistribution(f"cannot sample {f!r}")
 
 
+def fading_cdf_array(f: FadingSpec, t: np.ndarray) -> np.ndarray:
+    """P(S < t) for each threshold t >= 0 (+inf allowed), the law
+    :func:`sample_fading_array` draws: -expm1(-t/theta) for the
+    exponential, the regularized lower incomplete gamma for Erlang k > 1,
+    and Phi(ln t / sigma_ln) for unit-median log-normal, where t = 0
+    gives ln t = -inf and a CDF of 0 without a floating-point warning."""
+
+    if isinstance(f, Erlang):
+        u = t / f.theta
+        if f.k == 1:
+            np.expm1(np.negative(u, out=u), out=u)
+            return np.negative(u, out=u)
+        return scipy.special.gammainc(float(f.k), u, out=u)
+    if isinstance(f, LogNormal):
+        with np.errstate(divide="ignore"):
+            z = np.log(t)
+        z /= f.sigma_db * _DB_TO_LN
+        return scipy.special.ndtr(z, out=z)
+    raise UnsupportedDistribution(f"no CDF for {f!r}")
+
+
 # The one stream every surrogate fit draws from, so that the analytic
 # engine is deterministic and CSV reruns stay byte-identical.
 _FIT_SEED = 0x0E51_1A7E

@@ -317,6 +317,37 @@ def test_compare_across_engines(tmp_path):
     assert ok
 
 
+def test_compare_catches_an_injected_error(tmp_path):
+    # One both-engines run, split into its analytic and Monte Carlo
+    # files: they agree within 3 error bars, and one Monte Carlo cell
+    # moved 5 error bars away from its analytic value does not.
+    wide = BASE_CONFIG.replace("window_half_length_m = 3000",
+                               "window_half_length_m = 40000")
+    run_config_text(wide, out_dir=str(tmp_path))
+    fields, rows = read_rows(tmp_path / "tiny_outage.csv")
+    assert fields == ["distance_m", "outage_analytic", "outage_mc",
+                      "mc_stderr"]
+
+    def write(name, columns, rows):
+        path = tmp_path / name
+        path.write_text("".join(
+            ",".join(row[c] for c in columns) + "\n"
+            for row in [dict(zip(columns, columns))] + rows))
+        return str(path)
+
+    ana = write("ana.csv", ["distance_m", "outage_analytic"], rows)
+    mc_columns = ["distance_m", "outage_mc", "mc_stderr"]
+    mc = write("mc.csv", mc_columns, rows)
+    assert main(["compare", ana, mc, "--tol", "stderr:3"]) == 0
+    row = rows[1]
+    analytic, value, err = (float(row[c]) for c in fields[1:])
+    shift = math.copysign(5.0 * err, value - analytic)
+    shifted = [dict(r) for r in rows]
+    shifted[1]["outage_mc"] = repr(value + shift)
+    bad = write("shifted.csv", mc_columns, shifted)
+    assert main(["compare", ana, bad, "--tol", "stderr:3"]) == 1
+
+
 @pytest.mark.parametrize("mutate,match", [
     (lambda t: t.replace("lambda_h_per_m", "lambda_h_per_n"),
      "did you mean 'lambda_h_per_m'"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from crossrx import (Aloha, Csma, Erlang, Exponential, LogNormal, NoMac,
                      simulate_outage_sweep, simulate_outages)
 from crossrx import montecarlo
 from crossrx.model import EUCLIDEAN
-from crossrx.montecarlo import (_aloha_interference, _Chunk, _clear_of_tx,
-                                _draw_chunk, _effective_lambda, _pack,
-                                _plan_rows, _retain, _weighted_gains)
+from crossrx.montecarlo import (STDERR_FLOOR, _aloha_interference, _Chunk,
+                                _clear_of_tx, _draw_chunk, _effective_lambda,
+                                _pack, _plan_rows, _retain, _weighted_gains)
 
-from conftest import CANYON
+from conftest import CANYON, NOISE_W
 
 
 # modest windows keep these tests quick; the truncation advisory is
@@ -48,6 +49,8 @@ def test_sim_settings_validation():
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64"):
             SimSettings(realizations=10, seed=seed)
     SimSettings(realizations=10, seed=(1 << 64) - 1)
+    with pytest.raises(ValueError, match="estimator must be one of"):
+        SimSettings(realizations=10, estimator="binomial")
 
 
 def as_mask(idx, shape):
@@ -289,11 +292,124 @@ def test_estimate_bookkeeping(make_scenario, make_link):
     est = simulate_outage(make_scenario(Aloha(0.05)),
                           make_link((200, 0), (0, 0)),
                           SimSettings(realizations=5000, seed=9,
-                                      window_half_length=5000.0))
+                                      window_half_length=5000.0,
+                                      estimator="indicator"))
     assert isinstance(est, OutageEstimate)
     assert np.isclose(est.std_err,
                       math.sqrt(est.p_out * (1 - est.p_out) / 5000),
                       rtol=1e-12)
+
+
+def test_estimators_agree_on_the_same_draws(make_scenario, make_link):
+    # The conditional estimator against the failure count, on the same
+    # two-chunk draws, for Aloha and CSMA and three useful fadings: (a)
+    # they agree within 4 combined standard errors, the failure count's
+    # taken as binomial at the conditional estimate (a count of 0 reports
+    # the floor, though its law has sqrt(p / n)); (b) each conditional
+    # error bar is within sqrt(p (1 - p) / (n - 1)), which holds because
+    # every p_r is in [0, 1]; (c) the worker count, which changes how the
+    # chunks are evaluated but not the order they are merged in, changes
+    # no conditional estimate.
+    links = ([make_link((10.0 + 60.0 * i, 0.0), (0.0, 0.0)) for i in range(5)]
+             + [make_link((0.0, 150.0), (0.0, 0.0)),
+                make_link((0.0, 150.0), (200.0, 0.0)),
+                make_link((0.0, -40.0), (60.0, 0.0))])
+    for mac, n in ((Aloha(0.05), 5000), (Csma(500.0), 400)):
+        for fading in (Exponential(), Erlang(3, 1.0 / 3.0), LogNormal(3.2)):
+            scen = make_scenario(mac, fading_useful=fading)
+            runs = {}
+            for workers in (1, 2, 3):
+                settings = SimSettings(realizations=n, seed=13,
+                                       window_half_length=12000.0,
+                                       workers=workers)
+                runs[workers] = simulate_outage_sweep(scen, links, settings)
+            assert -(-n // _plan_rows(scen, settings)) == 2
+            assert runs[1] == runs[2] == runs[3]
+            counted = simulate_outage_sweep(scen, links, SimSettings(
+                realizations=n, seed=13, window_half_length=12000.0,
+                estimator="indicator"))
+            for cond, ind in zip(runs[1], counted):
+                p = cond.p_out
+                assert 0.0 < p < 1.0
+                binomial = math.sqrt(p * (1.0 - p) / n)
+                assert (abs(p - ind.p_out)
+                        <= 4.0 * math.hypot(cond.std_err, binomial))
+                assert cond.std_err <= (math.sqrt(p * (1.0 - p) / (n - 1))
+                                        + STDERR_FLOOR)
+
+
+# The edge cases of the conditional estimator below may give no NaN and
+# no RuntimeWarning, which the suite makes an error.
+
+def test_zero_useful_gain(make_scenario, make_link):
+    # At 1e200 m the useful path gain underflows to 0: with noise to beat
+    # every realization fails (p_r = 1); with neither noise nor an
+    # interferer nothing is to be beaten (p_r = 0), as the failure
+    # count's strict comparison has it. Both estimators agree, and a
+    # link beside it in the same sweep keeps its own estimate.
+    far = ((1e200, 0.0), (0.0, 0.0))
+    near = make_link((100.0, 0.0), (0.0, 0.0))
+    assert path_loss(make_scenario(Aloha(0.0)).loss_useful,
+                     Position(*far[0]), Position(*far[1])) == 0.0
+    for estimator in ("conditional", "indicator"):
+        settings = SimSettings(realizations=300, window_half_length=3000.0,
+                               seed=3, estimator=estimator)
+        for noise_w, p_out in ((NOISE_W, 1.0), (0.0, 0.0)):
+            scen = make_scenario(Aloha(0.0))
+            sweep = simulate_outage_sweep(
+                scen, [make_link(*far, noise_w=noise_w), near], settings)
+            assert sweep[0] == OutageEstimate(p_out, STDERR_FLOOR)
+            assert sweep[1] == simulate_outage(scen, near, settings)
+    # Interference alone against a useful gain of 0 fails exactly the
+    # realizations with an interferer.
+    scen, link = make_scenario(Aloha(0.002)), make_link(*far, noise_w=0.0)
+    settings = SimSettings(realizations=300, window_half_length=3000.0,
+                           seed=3)
+    est = simulate_outage(scen, link, settings)
+    counted = simulate_outage(scen, link,
+                              replace(settings, estimator="indicator"))
+    assert est.p_out == counted.p_out and 0.0 < est.p_out < 1.0
+
+
+def test_zero_threshold_on_the_lognormal_route(make_scenario, make_link):
+    # Log-normal useful fading takes ln t: t = 0, in every realization
+    # without noise or an interferer, gives ln 0 = -inf and p_r = 0.
+    settings = SimSettings(realizations=300, window_half_length=3000.0,
+                           seed=3)
+    silent = make_link((100.0, 0.0), (0.0, 0.0), noise_w=0.0)
+    shadowed = LogNormal(3.2)
+    est = simulate_outage(make_scenario(Aloha(0.0), fading_useful=shadowed),
+                          silent, settings)
+    assert est == OutageEstimate(0.0, STDERR_FLOOR)
+    est = simulate_outage(make_scenario(Aloha(0.002), fading_useful=shadowed),
+                          silent, settings)
+    assert 0.0 < est.p_out < 1.0 and est.std_err > STDERR_FLOOR
+
+
+def test_equal_outcomes_report_the_floor(make_scenario, make_link):
+    # Noise only: every realization has the same p_r, the analytic
+    # outage, so the sample error is 0 and the floor is reported.
+    link = make_link((500.0, 0.0), (0.0, 0.0))
+    scen = make_scenario(Aloha(0.0))
+    est = simulate_outage(scen, link, SimSettings(
+        realizations=300, window_half_length=3000.0, seed=3))
+    assert est.std_err == STDERR_FLOOR
+    analytic = 1.0 - reception_probability(scen, link)
+    assert abs(est.p_out - analytic) <= 4 * STDERR_FLOOR
+
+
+def test_one_realization_error_bar(make_scenario, make_link):
+    # One realization has no sample variance: the error bar is the bound
+    # sqrt(p (1 - p)) that any [0, 1]-valued draw obeys.
+    for mac in (Aloha(0.05), Csma(300.0), Aloha(0.0)):
+        for fading in (Exponential(), Erlang(3, 1.0 / 3.0), LogNormal(3.2)):
+            est = simulate_outage(
+                make_scenario(mac, fading_useful=fading),
+                make_link((300.0, 0.0), (0.0, 0.0)),
+                SimSettings(realizations=1, window_half_length=3000.0))
+            p = est.p_out
+            assert 0.0 <= p <= 1.0
+            assert est.std_err == max(math.sqrt(p * (1.0 - p)), STDERR_FLOOR)
 
 
 def test_sweep_is_linkwise_identical(make_scenario, make_link):
@@ -519,7 +635,8 @@ def test_aloha_failure_counts_are_pinned(make_scenario, make_link):
     for scen, fails in pinned:
         for workers in (1, 2):
             settings = SimSettings(realizations=5000, window_half_length=12000.0,
-                                   seed=13, workers=workers)
+                                   seed=13, workers=workers,
+                                   estimator="indicator")
             assert -(-5000 // _plan_rows(scen, settings)) == 2
             sweep = simulate_outage_sweep(scen, links, settings)
             assert [round(est.p_out * 5000) for est in sweep] == fails
@@ -541,7 +658,8 @@ def test_csma_failure_counts_are_pinned(make_scenario, make_link):
     for delta, fails in pinned.items():
         for workers in (1, 2):
             settings = SimSettings(realizations=400, window_half_length=12000.0,
-                                   seed=11, workers=workers)
+                                   seed=11, workers=workers,
+                                   estimator="indicator")
             sweep = simulate_outage_sweep(make_scenario(Csma(delta)), links,
                                           settings)
             assert [round(est.p_out * 400) for est in sweep] == fails

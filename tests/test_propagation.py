@@ -9,6 +9,7 @@ from crossrx import (Aloha, DegenerateGeometry, Erlang, Exponential,
                      UnsupportedDistribution, analytic_view, derivative_n,
                      erlang_fit, fading_ccdf, fading_lt, path_loss,
                      sample_fading_array)
+from crossrx.propagation import fading_cdf_array
 
 from conftest import CANYON, LOS
 
@@ -70,6 +71,31 @@ def test_fading_ccdf_edges():
     assert fading_ccdf(Erlang(4, 1.0), 0.0) == 1.0
     with pytest.raises(ValueError):
         fading_ccdf(Erlang(2, 1.0), -0.1)
+
+
+@pytest.mark.parametrize("fading", [Exponential(0.5), Erlang(2, 0.66),
+                                    Erlang(7, 0.2)])
+def test_fading_cdf_array_is_one_minus_the_ccdf(fading):
+    t = [0.0, 1e-300, 1e-6, 0.3, 1.0, 4.0, 40.0]
+    got = fading_cdf_array(fading, np.array(t))
+    want = [1.0 - fading_ccdf(fading, x) for x in t]
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-15)
+    assert got[0] == 0.0
+    far = fading_cdf_array(fading, np.array([1e300, np.inf]))
+    assert far.tolist() == [1.0, 1.0]
+
+
+def test_fading_cdf_array_lognormal():
+    # Unit median: P(S < e^z) = Phi(z / sigma_ln). ln 0 = -inf gives 0
+    # with no floating-point warning, +inf gives 1.
+    sigma_ln = 3.2 * math.log(10.0) / 10.0
+    z = np.array([-2.0, -0.5, 0.0, 0.7, 3.0]) * sigma_ln
+    got = fading_cdf_array(LogNormal(3.2), np.exp(z))
+    want = [0.5 * math.erfc(-x / (sigma_ln * math.sqrt(2.0))) for x in z]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert fading_cdf_array(LogNormal(3.2), np.array([1.0]))[0] == 0.5
+    edges = fading_cdf_array(LogNormal(3.2), np.array([0.0, np.inf]))
+    assert edges.tolist() == [0.0, 1.0]
 
 
 def test_fading_lt_rejects_lognormal():
