@@ -15,9 +15,7 @@ from .model import (Aloha, Csma, Erlang, Exponential, LinkSpec, LogNormal,
                     ValidationReport, distance, swap_roads, validate)
 from .montecarlo import (OutageEstimate, SimSettings, simulate_outage,
                          simulate_outage_sweep, simulate_outages)
-from .numerics import (NonConvergence, OrderTooHigh, PoleError,
-                       ToleranceNotMet, derivative_n, gamma_fn,
-                       hyp2f1_regularized, integrate_line, pochhammer)
+from .numerics import ToleranceNotMet, integrate_line, pochhammer
 from .propagation import (DegenerateGeometry, FadingLT, FitDegenerate,
                           UnsupportedDistribution, erlang_fit, fading_ccdf,
                           fading_lt, path_loss, sample_fading_array)

@@ -590,7 +590,8 @@ def run_config(path: str, out_dir: str = ".") -> dict:
     """Run every sweep in a config file and write the CSVs.
 
     Returns a summary dict: written file paths plus per-sweep agreement
-    statistics (max |analytic - mc| and max Monte Carlo standard error).
+    statistics, max |analytic - mc| and max Monte Carlo standard error,
+    each only when the engines it needs ran.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -639,14 +640,12 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
             by_output[out].extend(rows)
             cells.extend(rows)
         # A row ends in its value cells: [analytic], [mc, mc_stderr].
-        worst = stderr = 0.0
+        record = {"name": sweep.name, "points": len(sweep.values)}
         if sweep.engines == "both":
-            worst = max(abs(row[-3] - row[-2]) for row in cells)
+            record["max_abs_delta"] = max(abs(r[-3] - r[-2]) for r in cells)
         if sweep.engines != "analytic":
-            stderr = max(row[-1] for row in cells)
-        summary["sweeps"].append({
-            "name": sweep.name, "points": len(sweep.values),
-            "max_abs_delta": worst, "max_stderr": stderr})
+            record["max_stderr"] = max(r[-1] for r in cells)
+        summary["sweeps"].append(record)
 
     for out, rows in by_output.items():
         path_out = os.path.join(out_dir, f"{plan.prefix}_{out}.csv")
@@ -895,10 +894,11 @@ _CONFIG_ERRORS = (ConfigParseError, SchemaError, AxisMismatch, UnknownPreset)
 
 def _print_summary(summary: dict) -> None:
     for sweep in summary["sweeps"]:
-        line = (f"sweep {sweep['name']}: {sweep['points']} points")
-        if sweep["max_stderr"] > 0.0:
-            line += (f", max |analytic - mc| = {sweep['max_abs_delta']:.3e}"
-                     f", max mc std-err = {sweep['max_stderr']:.3e}")
+        line = f"sweep {sweep['name']}: {sweep['points']} points"
+        if "max_abs_delta" in sweep:
+            line += f", max |analytic - mc| = {sweep['max_abs_delta']:.3e}"
+        if "max_stderr" in sweep:
+            line += f", max mc std-err = {sweep['max_stderr']:.3e}"
         print(line)
     for path in summary["files"]:
         print(f"wrote {path}")

@@ -16,8 +16,7 @@ unbiased for the outage, and since p_r is in [0, 1] its variance is at
 most the indicator's. Only the useful link's closed-form CDF enters
 (``propagation.fading_cdf_array``), no Laplace transform, so the oracle
 stays independent of the analytic engine. S0 is still drawn and the
-failures still counted; ``SimSettings(estimator="indicator")`` reports
-the failure fraction instead.
+failures still counted, for the tests' failure-fraction reference.
 
 Reproducibility contract: a run is a pure function of (scenario, links,
 settings). Realizations are processed in fixed-size chunks; chunk i draws
@@ -73,6 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -107,7 +107,6 @@ _BLOCK_CELLS = 1 << 17
 # with before it runs the node's full window query.
 _NEIGHBOUR_SCREEN = 3
 _ROADS = ("h", "v")
-_ESTIMATORS = ("conditional", "indicator")
 # The smallest standard error reported: neither engine resolves an
 # outage probability finer than one unit in the last place of 1.0.
 STDERR_FLOOR = 2.0 ** -52
@@ -115,20 +114,15 @@ STDERR_FLOOR = 2.0 ** -52
 
 @dataclass(frozen=True)
 class SimSettings:
-    """``estimator`` is "conditional" (the mean of the useful fading's CDF
-    per realization, see the module docstring) or "indicator" (the
-    fraction of failed realizations)."""
+    """A run's size, window, seed and ``workers``, the most threads it
+    may use (at most one per CPU); no output bit depends on ``workers``."""
 
     realizations: int
     window_half_length: float = 20000.0
     seed: int = 0
     workers: int = 1
-    estimator: str = "conditional"
 
     def __post_init__(self) -> None:
-        if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"estimator must be one of {_ESTIMATORS}, "
-                             f"got {self.estimator!r}")
         if self.realizations < 1:
             raise ValueError(
                 f"realizations must be >= 1, got {self.realizations}")
@@ -144,11 +138,10 @@ class SimSettings:
 
 @dataclass(frozen=True)
 class OutageEstimate:
-    """An outage estimate and its standard error, never below
-    ``STDERR_FLOOR``. Conditional: the sample standard error
-    sqrt(M2 / (n (n - 1))) of the n per-realization p_r, or at n = 1 the
-    bound sqrt(p (1 - p)) that any [0, 1]-valued draw obeys. Indicator:
-    the binomial sqrt(p (1 - p) / n)."""
+    """An outage estimate, the mean of the n per-realization p_r, and
+    its standard error, never below ``STDERR_FLOOR``: the sample
+    standard error sqrt(M2 / (n (n - 1))) of the p_r, or at n = 1 the
+    bound sqrt(p (1 - p)) that any [0, 1]-valued draw obeys."""
 
     p_out: float
     std_err: float
@@ -544,17 +537,11 @@ def _truncation_warnings(scenario: Scenario, links: list[LinkSpec],
               "truncation bias - enlarge window_half_length to reduce it")
 
 
-def _estimate(fails: int, mean: float, m2: float, n: int,
-              estimator: str) -> OutageEstimate:
-    """The reported estimate of a link with these merged statistics over
-    n realizations; see OutageEstimate."""
-    if estimator == "indicator":
-        p_out = float(fails) / n
-        var = p_out * (1.0 - p_out) / n
-    else:
-        p_out = float(mean)
-        var = m2 / (n * (n - 1.0)) if n > 1 else p_out * (1.0 - p_out)
-    return OutageEstimate(p_out=p_out,
+def _estimate(n: int, mean: float, m2: float) -> OutageEstimate:
+    """The reported estimate of a link whose n realizations have these
+    merged statistics; see OutageEstimate."""
+    var = m2 / (n * (n - 1.0)) if n > 1 else mean * (1.0 - mean)
+    return OutageEstimate(p_out=mean,
                           std_err=max(math.sqrt(var), STDERR_FLOOR))
 
 
@@ -594,13 +581,23 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
     runs the Matern kernel once for the deltas of its jobs; a delta's
     retained nodes do not depend on which other deltas share the task,
     so neither the slices nor the job order change them. The tasks go
-    to one pool of ``settings.workers`` threads; with one worker they
-    run in the calling thread.
+    to one pool of at most ``settings.workers`` threads and at most one
+    per CPU; with one thread they run in the calling thread.
 
     When chunks raise, the exception of the first failing (job, chunk)
     in job and chunk order propagates, whatever the worker count, and
     its ``job`` attribute holds the index of its job.
     """
+
+    return [[_estimate(n, mean, m2) for n, _, mean, m2 in job]
+            for job in _merged_stats(jobs, settings)]
+
+
+def _merged_stats(jobs: list[tuple[Scenario, list[LinkSpec]]],
+                  settings: SimSettings) -> list[list[tuple]]:
+    """Per job, per link: the (n, fails, mean, M2) of its n realizations'
+    failure count and p_r, merged in chunk order; simulate_outages says
+    how the batch is run."""
 
     n = settings.realizations
     groups: dict = {}  # group key -> (rows per chunk, jobs in order)
@@ -625,7 +622,7 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
             tasks.extend((members[lo:hi], idx, nrows) for idx, nrows in chunks)
 
     def run(task) -> list:
-        # Each job's failure counts or exception, in the task's job order.
+        # Each job's chunk statistics or exception, in the task's job order.
         members, idx, nrows = task
         try:
             chunk = _draw_chunk([jobs[job][0] for job in members], settings,
@@ -640,11 +637,11 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
                 outcomes.append(exc)
         return outcomes
 
-    if settings.workers == 1 or len(tasks) <= 1:
+    threads = min(settings.workers, len(tasks), os.cpu_count() or 1)
+    if threads <= 1:
         results = [run(task) for task in tasks]
     else:
-        with ThreadPoolExecutor(
-                max_workers=min(settings.workers, len(tasks))) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, tasks))
 
     # Per job: [realizations merged, then per link fails, mean, M2]. A
@@ -663,8 +660,9 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
         job, _, exc = first
         exc.job = job
         raise exc
-    return [[_estimate(*link, n, settings.estimator)
-             for link in zip(*job_stats[1:])] for job_stats in stats]
+    return [[(n_job, int(fails), float(mean), float(m2))
+             for fails, mean, m2 in zip(*arrays)]
+            for n_job, *arrays in stats]
 
 
 def simulate_outage_sweep(scenario: Scenario, links: list[LinkSpec],
@@ -674,9 +672,9 @@ def simulate_outage_sweep(scenario: Scenario, links: list[LinkSpec],
     All links are evaluated on the same realizations (one set of draws
     per chunk), which shares the expensive sampling across a sweep;
     estimates are therefore correlated across links but each is unbiased
-    and carries its own standard error (see OutageEstimate): by default
-    the sample standard error of the conditional outage per realization,
-    which is never above the indicator's binomial one but for rounding.
+    and carries its own standard error (see OutageEstimate): the sample
+    standard error of the conditional outage per realization, which is
+    never above the failure count's binomial one but for rounding.
     """
 
     return simulate_outages([(scenario, links)], settings)[0]

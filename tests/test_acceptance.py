@@ -13,10 +13,10 @@ import pytest
 from scipy.optimize import brentq
 
 from crossrx import (Aloha, Csma, Erlang, LogNormal, Position, SimSettings,
-                     access_probability, derivative_n, erlang_fit, gamma_fn,
-                     hyp2f1_regularized, lt_interference_generic,
+                     access_probability, erlang_fit, lt_interference_generic,
                      reception_probability, simulate_outage_sweep, throughput)
 from crossrx.cli import preset_config, run_config_text
+from crossrx.numerics import derivative_n, gamma_fn, hyp2f1_regularized
 
 from conftest import BETA, CANYON, NOISE_W, closed_form
 from oracles import lt_h_sqrt_derivative

@@ -5,13 +5,13 @@ import pytest
 
 import crossrx
 from crossrx import (Aloha, Csma, Erlang, Exponential, LogNormal, NoMac,
-                     PathLossSpec, Position, analytic_view, derivative_n,
+                     PathLossSpec, Position, analytic_view,
                      lt_interference_generic, reception_probability, road_lt,
                      throughput)
 from crossrx.analytic import _quadrature_exponent
 from crossrx.mac import access_probability
 from crossrx.model import EUCLIDEAN
-from crossrx.numerics import integrate_line, pochhammer
+from crossrx.numerics import derivative_n, integrate_line, pochhammer
 from crossrx.propagation import fading_lt
 
 from conftest import BETA, CANYON, closed_form, zeta_of

@@ -152,6 +152,22 @@ def test_run_via_main(tmp_path, capsys):
     assert "tiny_outage.csv" in out
 
 
+@pytest.mark.parametrize("engines,delta,stderr", [
+    ("both", True, True), ("analytic", False, False),
+    ("montecarlo", False, True)])
+def test_summary_prints_what_ran(engines, delta, stderr, tmp_path, capsys):
+    # An agreement figure is printed only when its engines ran: a Monte
+    # Carlo-only sweep has no analytic value to differ from.
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(BASE_CONFIG.replace("engines = both",
+                                       f"engines = {engines}"))
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("sweep main: 3 points")
+    assert ("max |analytic - mc| = " in line) == delta
+    assert ("max mc std-err = " in line) == stderr
+
+
 def test_worker_count_is_cosmetic(tmp_path):
     run_config_text(BASE_CONFIG, out_dir=str(tmp_path / "a"))
     run_config_text(re.sub(r"workers = 1", "workers = 3", BASE_CONFIG),

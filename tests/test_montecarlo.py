@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from crossrx.montecarlo import (STDERR_FLOOR, _aloha_interference, _Chunk,
                                 _pack, _plan_rows, _retain, _weighted_gains)
 
 from conftest import CANYON, NOISE_W
+from oracles import failure_fractions
 
 
 # modest windows keep these tests quick; the truncation advisory is
@@ -49,8 +51,9 @@ def test_sim_settings_validation():
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64"):
             SimSettings(realizations=10, seed=seed)
     SimSettings(realizations=10, seed=(1 << 64) - 1)
-    with pytest.raises(ValueError, match="estimator must be one of"):
-        SimSettings(realizations=10, estimator="binomial")
+    # The estimator is fixed, not a setting.
+    with pytest.raises(TypeError, match="estimator"):
+        SimSettings(realizations=10, estimator="conditional")
 
 
 def as_mask(idx, shape):
@@ -289,15 +292,22 @@ def test_outage_tracks_analytic_at_high_erlang_shape(make_scenario, make_link,
 
 
 def test_estimate_bookkeeping(make_scenario, make_link):
-    est = simulate_outage(make_scenario(Aloha(0.05)),
-                          make_link((200, 0), (0, 0)),
-                          SimSettings(realizations=5000, seed=9,
-                                      window_half_length=5000.0,
-                                      estimator="indicator"))
-    assert isinstance(est, OutageEstimate)
-    assert np.isclose(est.std_err,
-                      math.sqrt(est.p_out * (1 - est.p_out) / 5000),
-                      rtol=1e-12)
+    # The estimate is the merged mean of the p_r and its error bar the
+    # sample standard error of that mean, floored; on two chunks (4096 +
+    # 904 rows), so the merge is exercised, at worker counts 1 and 2.
+    scen = make_scenario(Aloha(0.05))
+    link = make_link((200, 0), (0, 0))
+    for workers in (1, 2):
+        settings = SimSettings(realizations=5000, seed=9,
+                               window_half_length=5000.0, workers=workers)
+        assert -(-5000 // _plan_rows(scen, settings)) == 2
+        [[(n, _, mean, m2)]] = montecarlo._merged_stats([(scen, [link])],
+                                                        settings)
+        est = simulate_outage(scen, link, settings)
+        assert isinstance(est, OutageEstimate)
+        assert n == 5000 and est.p_out == mean
+        assert est.std_err == max(math.sqrt(m2 / (n * (n - 1))), 2.0 ** -52)
+        assert est.std_err > STDERR_FLOOR
 
 
 def test_estimators_agree_on_the_same_draws(make_scenario, make_link):
@@ -325,9 +335,8 @@ def test_estimators_agree_on_the_same_draws(make_scenario, make_link):
                 runs[workers] = simulate_outage_sweep(scen, links, settings)
             assert -(-n // _plan_rows(scen, settings)) == 2
             assert runs[1] == runs[2] == runs[3]
-            counted = simulate_outage_sweep(scen, links, SimSettings(
-                realizations=n, seed=13, window_half_length=12000.0,
-                estimator="indicator"))
+            counted = failure_fractions(scen, links, SimSettings(
+                realizations=n, seed=13, window_half_length=12000.0))
             for cond, ind in zip(runs[1], counted):
                 p = cond.p_out
                 assert 0.0 < p < 1.0
@@ -351,23 +360,21 @@ def test_zero_useful_gain(make_scenario, make_link):
     near = make_link((100.0, 0.0), (0.0, 0.0))
     assert path_loss(make_scenario(Aloha(0.0)).loss_useful,
                      Position(*far[0]), Position(*far[1])) == 0.0
-    for estimator in ("conditional", "indicator"):
-        settings = SimSettings(realizations=300, window_half_length=3000.0,
-                               seed=3, estimator=estimator)
-        for noise_w, p_out in ((NOISE_W, 1.0), (0.0, 0.0)):
-            scen = make_scenario(Aloha(0.0))
-            sweep = simulate_outage_sweep(
-                scen, [make_link(*far, noise_w=noise_w), near], settings)
-            assert sweep[0] == OutageEstimate(p_out, STDERR_FLOOR)
-            assert sweep[1] == simulate_outage(scen, near, settings)
+    settings = SimSettings(realizations=300, window_half_length=3000.0,
+                           seed=3)
+    for noise_w, p_out in ((NOISE_W, 1.0), (0.0, 0.0)):
+        scen = make_scenario(Aloha(0.0))
+        links = [make_link(*far, noise_w=noise_w), near]
+        sweep = simulate_outage_sweep(scen, links, settings)
+        counted = failure_fractions(scen, links, settings)
+        assert sweep[0] == counted[0] == OutageEstimate(p_out, STDERR_FLOOR)
+        assert sweep[1] == simulate_outage(scen, near, settings)
+        assert counted[1] == failure_fractions(scen, [near], settings)[0]
     # Interference alone against a useful gain of 0 fails exactly the
     # realizations with an interferer.
     scen, link = make_scenario(Aloha(0.002)), make_link(*far, noise_w=0.0)
-    settings = SimSettings(realizations=300, window_half_length=3000.0,
-                           seed=3)
     est = simulate_outage(scen, link, settings)
-    counted = simulate_outage(scen, link,
-                              replace(settings, estimator="indicator"))
+    [counted] = failure_fractions(scen, [link], settings)
     assert est.p_out == counted.p_out and 0.0 < est.p_out < 1.0
 
 
@@ -635,11 +642,10 @@ def test_aloha_failure_counts_are_pinned(make_scenario, make_link):
     for scen, fails in pinned:
         for workers in (1, 2):
             settings = SimSettings(realizations=5000, window_half_length=12000.0,
-                                   seed=13, workers=workers,
-                                   estimator="indicator")
+                                   seed=13, workers=workers)
             assert -(-5000 // _plan_rows(scen, settings)) == 2
-            sweep = simulate_outage_sweep(scen, links, settings)
-            assert [round(est.p_out * 5000) for est in sweep] == fails
+            [stats] = montecarlo._merged_stats([(scen, links)], settings)
+            assert [link[:2] for link in stats] == [(5000, f) for f in fails]
 
 
 def test_csma_failure_counts_are_pinned(make_scenario, make_link):
@@ -658,11 +664,10 @@ def test_csma_failure_counts_are_pinned(make_scenario, make_link):
     for delta, fails in pinned.items():
         for workers in (1, 2):
             settings = SimSettings(realizations=400, window_half_length=12000.0,
-                                   seed=11, workers=workers,
-                                   estimator="indicator")
-            sweep = simulate_outage_sweep(make_scenario(Csma(delta)), links,
-                                          settings)
-            assert [round(est.p_out * 400) for est in sweep] == fails
+                                   seed=11, workers=workers)
+            [stats] = montecarlo._merged_stats(
+                [(make_scenario(Csma(delta)), links)], settings)
+            assert [link[:2] for link in stats] == [(400, f) for f in fails]
 
 
 def test_batch_matches_one_sweep_per_job(make_scenario, make_link):
@@ -833,6 +838,43 @@ def test_workers_do_not_change_results(make_scenario, make_link):
     split = SimSettings(realizations=6000, seed=7, workers=3)
     assert (simulate_outage(scen, link, base).p_out
             == simulate_outage(scen, link, split).p_out)
+
+
+def test_pool_is_capped_at_the_cpu_count(make_scenario, make_link,
+                                         monkeypatch):
+    # Five one-chunk jobs are five tasks. A huge workers count must start
+    # at most one thread per CPU and still give every job its own
+    # estimates. The fake pool records its size and runs the tasks in
+    # the calling thread, so no thread is started.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    link = make_link((100.0, 0.0), (0.0, 0.0))
+    jobs = [(make_scenario(Aloha(p)), [link])
+            for p in (0.01, 0.02, 0.03, 0.04, 0.05)]
+    base = SimSettings(realizations=300, window_half_length=3000.0, seed=4)
+    assert all(_plan_rows(scen, base) >= 300 for scen, _ in jobs)
+    expected = [simulate_outage_sweep(scen, links, base)
+                for scen, links in jobs]
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    huge = replace(base, workers=10 ** 6)
+    for cpus, pools in ((3, [3]), (8, [5]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert simulate_outages(jobs, huge) == expected
+        assert sizes == pools
 
 
 def test_seed_moves_the_estimate(make_scenario, make_link):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossrx import (OrderTooHigh, PoleError, derivative_n, gamma_fn,
-                     hyp2f1_regularized, integrate_line, pochhammer)
+from crossrx.numerics import (OrderTooHigh, PoleError, derivative_n,
+                              gamma_fn, hyp2f1_regularized, integrate_line,
+                              pochhammer)
 
 # Reference values computed with 40-digit arithmetic and frozen here.
 GAMMA_2_5 = 1.32934038817913702047

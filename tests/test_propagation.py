@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from crossrx import (Aloha, DegenerateGeometry, Erlang, Exponential,
                      FitDegenerate, LogNormal, Position,
-                     UnsupportedDistribution, analytic_view, derivative_n,
-                     erlang_fit, fading_ccdf, fading_lt, path_loss,
-                     sample_fading_array)
+                     UnsupportedDistribution, analytic_view, erlang_fit,
+                     fading_ccdf, fading_lt, path_loss, sample_fading_array)
+from crossrx.numerics import derivative_n
 from crossrx.propagation import fading_cdf_array
 
 from conftest import CANYON, LOS
