@@ -376,11 +376,11 @@ def _parse_config(cp: configparser.ConfigParser) -> RunPlan:
                           "without a directory; use --out-dir")
     sweeps = tuple(_parse_sweep(cp, s) for s in sweep_sections)
 
+    # The base link's warnings are not printed: every sweep point
+    # validates its own link (_sweep_points).
     report = model.validate(scenario, link)
     if not report.ok:
         raise SchemaError("invalid scenario: " + "; ".join(report.violations))
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     return RunPlan(scenario=scenario, link=link, sim=sim, prefix=prefix,
                    sweeps=sweeps)
 
@@ -406,10 +406,13 @@ class _Point:
     estimate: OutageEstimate | None = None
 
 
+def _where(point: _Point) -> str:
+    return f"sweep {point.sweep.name!r} at {point.sweep.axis} = {point.value!r}"
+
+
 def _located(point: _Point, exc: Exception, more: str = "") -> Exception:
     """``exc`` as the error of its kind naming ``point``, then ``more``."""
-    where = (f"sweep {point.sweep.name!r} at {point.sweep.axis} = "
-             f"{point.value!r}{more}")
+    where = _where(point) + more
     if isinstance(exc, SchemaError):
         return SchemaError(f"{where}: {exc}")
     return NumericFailure(f"{where}: {type(exc).__name__}: {exc}")
@@ -451,9 +454,12 @@ def _bracketed_root(f, lo: float, hi: float, p_a: float, xtol: float) -> float:
             "radius is too small to solve for") from None
 
 
-def _sweep_points(plan: RunPlan, sweep: SweepSpec) -> list[_Point]:
+def _sweep_points(plan: RunPlan, sweep: SweepSpec,
+                  warned: dict[str, str]) -> list[_Point]:
     """Each point walks its sweep's keys in order, overrides then the axis
-    (``_SETS`` lists what each sets), and builds its link and scenario once."""
+    (``_SETS`` lists what each sets), and builds its link and scenario once.
+    Each validation warning not yet in ``warned`` is added to it, mapped
+    to the point that raised it first."""
     base, roads = plan.link, plan.scenario.roads
     points = []
     try:
@@ -493,6 +499,8 @@ def _sweep_points(plan: RunPlan, sweep: SweepSpec) -> list[_Point]:
             report = model.validate(point.scenario, point.link)
             if not report.ok:
                 raise SchemaError("; ".join(report.violations))
+            for warning in report.warnings:
+                warned.setdefault(warning, _where(point))
             points.append(point)
     except (SchemaError, *_NUMERIC_ERRORS) as exc:
         raise _located(point, exc) from exc
@@ -626,7 +634,10 @@ def run_config_text(text: str, out_dir: str = ".", source: str = "<config>") -> 
     # Points are built once (access_probability sweeps solve delta per
     # point); the analytic engine runs first, so that its failures show
     # before the Monte Carlo batch runs.
-    per_sweep = [_sweep_points(plan, sweep) for sweep in plan.sweeps]
+    warned: dict[str, str] = {}
+    per_sweep = [_sweep_points(plan, sweep, warned) for sweep in plan.sweeps]
+    for warning, where in warned.items():
+        print(f"warning: {where}: {warning}", file=sys.stderr)
     points = [point for sweep_points in per_sweep for point in sweep_points]
     _analytic(points)
     _monte_carlo(plan, points)

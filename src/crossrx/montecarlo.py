@@ -20,8 +20,9 @@ failures still counted, for the tests' failure-fraction reference.
 
 Reproducibility contract: a run is a pure function of (scenario, links,
 settings). Realizations are processed in fixed-size chunks; chunk i draws
-everything it needs from a counter-based stream keyed (seed, i), and the
-chunk layout depends only on scenario and settings. Under CSMA every
+everything it needs from its own SFC64 stream, seeded by
+SeedSequence(seed, spawn_key=(i,)), and the chunk layout depends only on
+scenario and settings. Under CSMA every
 node is drawn at its road's density, so neither the draws nor the chunk
 layout depend on the sensing range delta: CSMA jobs whose scenarios are
 equal except for delta form one delta-group and share each chunk's
@@ -39,33 +40,25 @@ Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
 fading, useful fading.
 
-Each road's draws are padded (realization x node) arrays whose rows hold
-their nodes as a prefix. After all of a chunk's draws, every padded
-position is set to +inf; that is the one padding rule. An interferer's
-gain at a receiver is fad * A * r^-alpha, taken as (r^2)^(-alpha / 2)
-of the squared distance with no square root (at alpha = 2 a true
-``np.reciprocal`` per node, with the bits of ``** -1.0``), so a padded
-cell's gain is exactly +0.0 on every road and norm, and padded cells
-sort after every node. The useful link keeps ``propagation.path_loss``.
+Each road's nodes are drawn as flat arrays, exactly as many as its
+Poisson counts, row (realization) after row. Under CSMA the positions
+are sorted within each row before the marks and the fading are drawn,
+so nothing is gathered after the draws. An interferer's gain at a receiver is fad * A * r^-alpha, taken as
+(r^2)^(-alpha / 2) of the squared distance with no square root (at
+alpha = 2 a true ``np.reciprocal`` per node, with the bits of
+``** -1.0``). The useful link keeps ``propagation.path_loss``.
 
 Per-chunk work. Aloha keeps every drawn node (its thinning is folded
-into the draw), so its interference is a sum of gains over the padded
-arrays. It takes one pass per road over blocks of whole rows, and all
-distinct receivers of the job share one broadcast block (receiver x
-row x node), so each numpy call covers every receiver; each row is
-still summed over its full padded width along the block's last axis,
-so every receiver's totals have the bits of a sum over the whole
-arrays.
-Under CSMA the chunk is drawn and retained in one call: it sorts each
-road's nodes by position and keys them once, and one call of the Matern
-II kernel gives the retained nodes' row-major indices at every delta of
-the task's jobs, because retention depends on the marks alone; it walks
-the deltas in increasing order, and each delta only checks the
-survivors of the one before. Each link then applies its own
-transmitter's kill disc to the retained nodes of its job's delta. The
-retained nodes are gathered into flat (realization, position, fading)
-arrays, so each receiver computes gains for those nodes only and sums
-them per realization with ``np.bincount``.
+into the draw). Its pass walks each road in blocks of whole rows, all
+distinct receivers of the job sharing one broadcast (receiver x node)
+block, so each numpy call covers every receiver. Under CSMA the chunk
+is drawn and retained in one call: one call of the Matern II kernel
+gives the retained nodes at every delta of the task's jobs, because
+retention depends on the marks alone; it walks the deltas in
+increasing order, and each delta only checks the survivors of the one
+before. Each link then zeroes the gains inside its own transmitter's
+kill disc. Both sum each row over its own nodes (_row_sums), so no sum
+depends on the block size or on the other receivers and links.
 """
 
 from __future__ import annotations
@@ -88,8 +81,8 @@ from .model import (EUCLIDEAN, Aloha, Csma, LinkSpec, PathLossSpec, Position,
 from .propagation import fading_cdf_array, path_loss, sample_fading_array
 
 # Cells-per-chunk budgets keep peak memory flat as densities change. The
-# hard-core kernel keeps sorted copies of its arrays and per-delta work
-# arrays besides the draws, hence the tighter budget. The budgets set the
+# hard-core kernel keeps keys, marks and per-delta work arrays besides
+# the draws, hence the tighter budget. The budgets set the
 # chunk layout, so changing one changes the Monte Carlo bits.
 _CELL_BUDGET_IID = 1 << 22
 _CELL_BUDGET_MATERN = 1 << 18
@@ -148,10 +141,10 @@ class OutageEstimate:
 
 
 def _stream(seed: int, chunk_index: int) -> np.random.Generator:
-    # A uint64 key: from a plain list, numpy would take a seed >= 2^63 as
-    # float64 and round it.
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed, chunk_index], dtype=np.uint64)))
+    # A spawn key, not SeedSequence([seed, chunk]), whose trailing zero
+    # words do not count: (5, 1) and (2^32 + 5, 0) would share a stream.
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
 
 
 # --- Matern II kernel --------------------------------------------------------
@@ -161,14 +154,12 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
 # of a job shares it and only applies its own transmitter's kill disc
 # afterwards (_clear_of_tx).
 #
-# Each road's nodes are sorted by position within their row, once per
-# chunk (_pack); padded cells sit at +inf, so they sort last and each
-# row's nodes stay a prefix. The nodes get one flat key array, key =
-# row * span + position with span = 2 * window + 4. Every window is
+# Each road's nodes come sorted by position within their row, rows in
+# order, as one flat array (_draw_chunk), so their keys, key = row * span
+# + position with span = 2 * window + 4, increase. Every window is
 # clipped to [-window - 1, window + 1] of its row, which keeps every
 # node, so rows cannot overlap at any delta and the keys serve every
-# delta. Every
-# contention window is then a contiguous slice of the sorted marks, and
+# delta. Every contention window is then a contiguous slice of the marks, and
 # one np.minimum.reduceat over the interleaved window bounds answers
 # "smallest mark in [lo, hi)" for many nodes at once. A node is retained
 # iff its own mark IS the window minimum on its own road (the window
@@ -185,32 +176,26 @@ def _stream(seed: int, chunk_index: int) -> np.random.Generator:
 # every key bound is a correctly rounded, monotone function of delta,
 # so the survivors at one delta contain those at any larger delta, and
 # each delta after the smallest queries only the survivors of the one
-# before. Retention is a function of marks and positions only, so the
-# sorted evaluation order does not change which fading draw belongs to
-# which node; the retained nodes come back as their indices into the
-# padded (realization x node) arrays, in row-major order.
+# before. The retained nodes come back as increasing indices into the
+# road's flat arrays.
 
-def _pack(pos: np.ndarray, counts: np.ndarray, marks: np.ndarray,
+def _row_offsets(counts: np.ndarray, window: float) -> np.ndarray:
+    """Each node's row offset in key space, row * (2 * window + 4), for
+    rows of ``counts`` nodes each, laid out row after row."""
+    return np.repeat(np.arange(len(counts)) * (2.0 * window + 4.0), counts)
+
+
+def _pack(z: np.ndarray, off: np.ndarray, marks: np.ndarray,
           window: float) -> dict:
-    """One road's nodes, the first ``counts`` cells of each row of the
-    padded ``pos`` (padded cells at +inf, so they sort last), sorted by
-    position within their row, as flat arrays: their row-major index
-    into the padded arrays (``flat``), position, row offset, key and
-    mark, the marks followed by a +inf sentinel. ``window`` bounds every
-    finite |position|. Rows are 2 * window + 4 apart in key space, and
-    _retain clips every window to [-edge, edge] with edge = window + 1,
-    so no window reaches into another row at any delta. Nothing here
-    depends on delta, and nothing changes a pack after it is built, so
-    every delta evaluated on a chunk shares one per road."""
-    rows, cols = pos.shape
-    order = np.argsort(pos, axis=1)
-    row = np.repeat(np.arange(rows), counts)
-    flat = row * cols + order[np.arange(cols) < counts[:, None]]
-    z = pos.ravel()[flat]
-    off = row * (2.0 * window + 4.0)
-    return {"flat": flat, "z": z, "off": off, "key": z + off,
-            "edge": window + 1.0,
-            "mark": np.append(marks.ravel()[flat], np.inf)}
+    """One road's nodes for the Matern kernel: positions ``z``, sorted
+    within each row, and row offsets ``off`` (_row_offsets), whose sum
+    is the increasing key, and the marks with a +inf sentinel appended.
+    ``window`` bounds every |position|, and _retain clips every window
+    to [-edge, edge] with edge = window + 1, so no window reaches into
+    another row at any delta. Nothing here depends on delta, and nothing
+    changes a pack, so every delta of a chunk shares one per road."""
+    return {"z": z, "off": off, "key": z + off, "edge": window + 1.0,
+            "mark": np.append(marks, np.inf)}
 
 
 def _window_min(pack: dict, lo_key: np.ndarray,
@@ -232,8 +217,8 @@ def _retain(h: dict, v: dict,
             deltas: list[float]) -> dict[float, tuple[np.ndarray, np.ndarray]]:
     """Matern II retained nodes of both packed roads at each sensing
     range in ``deltas``, as {delta: (kept_h, kept_v)}, each an increasing
-    row-major index array into the padded arrays the roads were packed
-    from. The tagged transmitter's kill disc is not applied here.
+    index array into its road's flat arrays. The tagged transmitter's
+    kill disc is not applied here.
 
     The distinct deltas are walked in increasing order. Every key bound
     is a correctly rounded, monotone function of delta, so a node's
@@ -277,8 +262,7 @@ def _retain(h: dict, v: dict,
                 cross, off[nodes] - reach, off[nodes] + reach)
             sel = sel[won]
             live[r] = sel if live[r] is None else live[r][sel]
-        kept[delta] = (np.sort(h["flat"][live[0]]),
-                       np.sort(v["flat"][live[1]]))
+        kept[delta] = tuple(live)
     return kept
 
 
@@ -355,51 +339,64 @@ def _road_distance_sq(road: str, positions: np.ndarray, x: np.ndarray,
     return out if euclid else np.square(out, out=out)
 
 
+def _row_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per row r, the sum of values[..., starts[r]:starts[r + 1]], 0.0
+    for a row without nodes. np.add.reduceat would give an empty row the
+    value at its index, and takes no index past the end, so it only gets
+    the starts of rows with nodes; each of their sums ends where the
+    next such row starts."""
+    sums = np.zeros(values.shape[:-1] + (len(starts) - 1,))
+    full = starts[:-1] < starts[1:]
+    if full.any():
+        sums[..., full] = np.add.reduceat(values, starts[:-1][full], axis=-1)
+    return sums
+
+
 def _aloha_interference(scenario: Scenario, chunk: _Chunk,
                         receivers: list[Position]) -> dict:
     """Per-realization interference at each receiver on one chunk's
-    padded draws, H road then V, as {receiver: totals}.
-
-    Each road is walked once, in blocks of whole rows; one broadcast
-    block holds every distinct receiver's gains for those rows, about
-    _BLOCK_CELLS cells in all (one row per block at least), so each
-    numpy call covers all receivers at once; both roads' blocks reuse
-    one buffer. Padded cells, at +inf, have gain +0.0, and every row is
-    summed over its full padded width along the block's last, contiguous
-    axis, so a receiver's totals do not depend on the block size or on
-    the other receivers."""
+    draws, H road then V, as {receiver: totals}. Each road is walked in
+    blocks of whole rows, about _BLOCK_CELLS cells of (receiver x node)
+    gains each, one row at least; both roads' blocks reuse one buffer."""
     nrows = len(chunk.s0)
     distinct = list(dict.fromkeys(receivers))
     nrx = len(distinct)
     rx_x = np.array([rx.x for rx in distinct])
     totals = np.zeros((nrx, nrows))
-    buf = np.empty(max(_BLOCK_CELLS, nrx * max(p.shape[1] for p in chunk.pos)))
-    for road, pos, fad, loss in zip(_ROADS, chunk.pos, chunk.fad,
-                                    (scenario.loss_h, scenario.loss_v)):
-        cols = pos.shape[1]
-        if not cols:
-            continue
-        row_cells = nrx * cols
-        step = max(1, _BLOCK_CELLS // row_cells)
-        for lo in range(0, nrows, step):
-            hi = min(lo + step, nrows)
-            out = buf[:(hi - lo) * row_cells].reshape(nrx, hi - lo, cols)
-            _weighted_gains(road, pos[lo:hi], fad[lo:hi], loss, rx_x, out)
-            totals[:, lo:hi] += out.sum(axis=-1)
+    per_rx = max(1, _BLOCK_CELLS // nrx)
+    widest = max(int(np.diff(starts).max()) for starts in chunk.starts)
+    buf = np.empty(nrx * max(per_rx, widest))
+    for road, pos, fad, starts, loss in zip(
+            _ROADS, chunk.pos, chunk.fad, chunk.starts,
+            (scenario.loss_h, scenario.loss_v)):
+        lo = 0
+        while lo < nrows:
+            # The most whole rows from row lo with at most per_rx nodes.
+            hi = max(lo + 1, int(np.searchsorted(
+                starts, starts[lo] + per_rx, side="right")) - 1)
+            first, end = starts[lo], starts[hi]
+            if end > first:
+                out = buf[:nrx * (end - first)].reshape(nrx, end - first)
+                _weighted_gains(road, pos[first:end], fad[first:end], loss,
+                                rx_x, out)
+                totals[:, lo:hi] += _row_sums(out, starts[lo:hi + 1] - first)
+            lo = hi
     return dict(zip(distinct, totals))
 
 
 @dataclass(frozen=True)
 class _Chunk:
-    """One chunk's draws, shared by every job of its task. ``pos`` and
-    ``fad`` are per-road (H, V) padded (realization x node) arrays, each
-    row's nodes a prefix and its padded positions +inf; ``s0`` is the
-    useful link's fading per realization. Under CSMA ``kept`` maps each
-    delta of the task's jobs to its retained nodes (_retain); it is None
-    else."""
+    """One chunk's draws, shared by every job of its task. Per road (H,
+    V), ``pos`` and ``fad`` are its nodes' positions and fading, row
+    after row, row r's nodes at [starts[r], starts[r + 1]); under CSMA
+    each row's positions increase. ``s0`` is the useful link's fading
+    per realization. Under CSMA ``kept`` maps each delta of the task's
+    jobs to its retained nodes, increasing indices into the road's
+    arrays (_retain); it is None else."""
     index: int
     pos: tuple[np.ndarray, np.ndarray]
     fad: tuple[np.ndarray, np.ndarray]
+    starts: tuple[np.ndarray, np.ndarray]
     s0: np.ndarray
     kept: dict | None
 
@@ -416,16 +413,20 @@ def _draw_chunk(scenarios: list[Scenario], settings: SimSettings,
 
     counts = [rng.poisson(2.0 * w * _effective_lambda(scenario, road), nrows)
               for road in _ROADS]
-    pos = [rng.uniform(-w, w, (nrows, int(c.max(initial=0)))) for c in counts]
-    marks = [rng.random(p.shape) for p in pos] if is_csma else None
-    fad = tuple(sample_fading_array(f, rng, p.shape)
-                for f, p in zip((scenario.fading_h, scenario.fading_v), pos))
+    pos = [rng.uniform(-w, w, c.sum()) for c in counts]
+    if is_csma:
+        # Sorted within each row by one sort of the Matern keys, before
+        # the marks and the fading are drawn for the sorted nodes.
+        offs = [_row_offsets(c, w) for c in counts]
+        pos = [z[np.argsort(z + off)] for z, off in zip(pos, offs)]
+        marks = [rng.random(z.size) for z in pos]
+    fad = tuple(sample_fading_array(f, rng, (z.size,))
+                for f, z in zip((scenario.fading_h, scenario.fading_v), pos))
     s0 = sample_fading_array(scenario.fading_useful, rng, (nrows,))
-    for p, c in zip(pos, counts):
-        p[np.arange(p.shape[1]) >= c[:, None]] = np.inf
-    kept = (_retain(*map(_pack, pos, counts, marks, (w, w)),
+    kept = (_retain(*map(_pack, pos, offs, marks, (w, w)),
                     [s.mac.delta for s in scenarios]) if is_csma else None)
-    return _Chunk(chunk_index, tuple(pos), fad, s0, kept)
+    starts = tuple(np.concatenate(([0], np.cumsum(c))) for c in counts)
+    return _Chunk(chunk_index, tuple(pos), fad, starts, s0, kept)
 
 
 def _job_chunk(scenario: Scenario, links: list[LinkSpec],
@@ -439,24 +440,23 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
     is_csma = isinstance(scenario.mac, Csma)
     if is_csma:
         delta = scenario.mac.delta
-        # Retained nodes only, as flat (row, position, fading) arrays in
-        # row-major order, which fixes the order of each bincount sum. A
-        # road with no node in any row has width 0 and no index to divide.
-        retained = [(road, loss, kept // max(pos.shape[1], 1),
-                     pos.ravel()[kept], fad.ravel()[kept])
-                    for road, loss, pos, fad, kept in zip(
+        # Retained nodes only: positions, fading, and the bounds of each
+        # row's retained nodes.
+        retained = [(road, loss, pos[kept], fad[kept],
+                     np.searchsorted(kept, starts))
+                    for road, loss, pos, fad, starts, kept in zip(
                         _ROADS, (scenario.loss_h, scenario.loss_v),
-                        chunk.pos, chunk.fad, chunk.kept[delta])]
+                        chunk.pos, chunk.fad, chunk.starts, chunk.kept[delta])]
 
         @functools.cache
         def gains(rx: Position) -> list:
             return [_weighted_gains(road, pos, fad, loss, np.array([rx.x]))[0]
-                    for road, loss, _, pos, fad in retained]
+                    for road, loss, pos, fad, _ in retained]
 
         @functools.cache
         def clear(tx: Position) -> list:
             return [_clear_of_tx(road, pos, tx, delta)
-                    for road, _, _, pos, _ in retained]
+                    for road, _, pos, _, _ in retained]
     else:
         totals = _aloha_interference(scenario, chunk,
                                      [link.rx for link in links])
@@ -468,12 +468,9 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
     for li, link in enumerate(links):
         # CSMA's kill disc makes interference depend on the transmitter.
         if is_csma:
-            total = np.zeros(nrows)
-            for (_, _, row, _, _), road_gains, road_clear in zip(
-                    retained, gains(link.rx), clear(link.tx)):
-                total += np.bincount(row[road_clear],
-                                     weights=road_gains[road_clear],
-                                     minlength=nrows)
+            total = sum(_row_sums(np.where(road_clear, road_gains, 0.0), starts)
+                        for (*_, starts), road_gains, road_clear in zip(
+                            retained, gains(link.rx), clear(link.tx)))
         else:
             total = totals[link.rx]
         gain[li] = path_loss(scenario.loss_useful, link.tx, link.rx)

@@ -763,6 +763,25 @@ def test_transmitter_overrides_move_the_transmitter(tmp_path):
             1.0 - reception_probability(plan.scenario, link))
 
 
+def test_point_warnings_name_their_first_point(tmp_path, capsys):
+    # case2's receivers 1 and 2 m from the corner, under street-canyon
+    # loss, warn once each per run, naming the first of the four sweeps'
+    # points that raised them. The base link's receiver, which every
+    # point overrides, raises no warning, even 1 m from the corner.
+    case2 = preset_config("case2").replace("engines = both",
+                                           "engines = analytic")
+    near = case2.replace("values = 10:310:25", "values = 1, 2, 30")
+    warned = [f"warning: sweep 'ty50-p0.002' at rx_to_intersection_d = {d!r}: "
+              f"link: rx is {d:g} m from the intersection (< 5 m); the "
+              "street-canyon propagation model is unreliable this close to "
+              "the corner" for d in (1.0, 2.0)]
+    for text, expected in ((near, warned),
+                           (near.replace("rx_x_m = 10", "rx_x_m = 1"), warned),
+                           (case2.replace("rx_x_m = 10", "rx_x_m = 1"), [])):
+        run_config_text(text, out_dir=str(tmp_path))
+        assert capsys.readouterr().err.splitlines() == expected
+
+
 def test_underflowing_useful_gain_is_an_outage(tmp_path):
     # At 1e200 m the useful path gain underflows to 0.0.
     text = BASE_CONFIG.replace("values = 100, 200, 300", "values = 10, 1e200")
