@@ -268,6 +268,11 @@ def _quadrature_exponent(road: str, scenario: Scenario, link: LinkSpec):
     return exponent
 
 
+def _silent(mac) -> bool:
+    """No interferer transmits: no MAC, or Aloha with p = 0."""
+    return isinstance(mac, NoMac) or (isinstance(mac, Aloha) and mac.p == 0.0)
+
+
 def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
                             s: float) -> float:
     """L_{I_R}(s) by direct quadrature of the intensity-weighted exponent.
@@ -281,8 +286,7 @@ def lt_interference_generic(road: str, scenario: Scenario, link: LinkSpec,
         return 1.0
     if s < 0:
         raise ValueError(f"LT argument must be >= 0, got {s}")
-    mac = scenario.mac
-    if isinstance(mac, NoMac) or (isinstance(mac, Aloha) and mac.p == 0.0):
+    if _silent(scenario.mac):
         return 1.0
     exponent = _quadrature_exponent(road, scenario, link)
     return math.exp(-exponent(s, 0)[0])
@@ -297,7 +301,7 @@ def road_lt(road: str, scenario: Scenario, link: LinkSpec) -> InterferenceLT:
     """
 
     mac = scenario.mac
-    if isinstance(mac, NoMac) or (isinstance(mac, Aloha) and mac.p == 0.0):
+    if _silent(mac):
         return InterferenceLT(lambda s, n: [0.0] * (n + 1), "closed-form")
 
     fading = scenario.fading_h if road == "h" else scenario.fading_v
@@ -357,8 +361,8 @@ def reception_probability(scenario: Scenario, link: LinkSpec) -> float:
     zeta = ((link.beta / gain if gain else math.inf)
             / scenario.fading_useful.theta)
     if zeta == math.inf:  # the limit: any noise or active interferer wins
-        mac, roads = scenario.mac, scenario.roads
-        silent = (isinstance(mac, NoMac) or mac == Aloha(0.0)
+        roads = scenario.roads
+        silent = (_silent(scenario.mac)
                   or roads.lambda_h == roads.lambda_v == 0.0)
         return float(link.noise_w == 0.0 and silent)
     noise = zeta * (link.noise_w / link.power_w)

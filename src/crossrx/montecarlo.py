@@ -49,21 +49,21 @@ alpha = 2 a true ``np.reciprocal`` per node, with the bits of
 ``** -1.0``). The useful link keeps ``propagation.path_loss``.
 
 Per-chunk work. Aloha keeps every drawn node (its thinning is folded
-into the draw). Its pass walks each road in blocks of whole rows, all
-distinct receivers of the job sharing one broadcast (receiver x node)
-block, so each numpy call covers every receiver. Under CSMA the chunk
-is drawn and retained in one call: one call of the Matern II kernel
-gives the retained nodes at every delta of the task's jobs, because
-retention depends on the marks alone; it walks the deltas in
-increasing order, and each delta only checks the survivors of the one
-before. Each link then zeroes the gains inside its own transmitter's
-kill disc. Both sum each row over its own nodes (_row_sums), so no sum
-depends on the block size or on the other receivers and links.
+into the draw). Under CSMA the chunk is drawn and retained in one call:
+one call of the Matern II kernel gives the retained nodes at every delta
+of the task's jobs, because retention depends on the marks alone; it
+walks the deltas in increasing order, and each delta only checks the
+survivors of the one before. One pass (_interference) then walks each
+road's transmitting nodes in blocks of whole rows, all distinct
+receivers of the job sharing one broadcast (receiver x node) block.
+Under CSMA each distinct transmitter's kill disc masks its receivers'
+rows of the block; Aloha has no disc and sums the block as it is. Each
+row is summed over its own nodes (_row_sums), so no sum depends on the
+block size or on the other receivers and links.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
@@ -87,14 +87,14 @@ from .propagation import fading_cdf_array, path_loss, sample_fading_array
 _CELL_BUDGET_IID = 1 << 22
 _CELL_BUDGET_MATERN = 1 << 18
 _MAX_ROWS = 4096
-# Cells per broadcast block of the Aloha interference pass
-# (_aloha_interference): all of a job's receivers share one block, and
-# each gain step (the squared distance, the power law, at alpha = 2 a
-# true reciprocal, the two products) is one numpy call on it. Blocks
-# hold whole rows, so the block size does not change the bits. At 2^15
-# the calls were too short to beat one call per receiver on
-# aloha-distance; 2^17 (1 MB) was faster and, with one buffer for both
-# roads, added under 1 MB of peak memory.
+# Cells per broadcast block of the interference pass (_interference):
+# all of a job's distinct receivers share one block, and each gain step
+# (the squared distance, the power law, at alpha = 2 a true reciprocal,
+# the two products) is one numpy call on it. Blocks hold whole rows, so
+# the block size does not change the bits. At 2^15 the calls were too
+# short to beat one call per receiver on aloha-distance; 2^17 (1 MB) was
+# faster and, with one buffer for both roads, added under 1 MB of peak
+# memory.
 _BLOCK_CELLS = 1 << 17
 # Sorted neighbours on each side that the Matern kernel compares a node
 # with before it runs the node's full window query.
@@ -352,23 +352,37 @@ def _row_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _aloha_interference(scenario: Scenario, chunk: _Chunk,
-                        receivers: list[Position]) -> dict:
-    """Per-realization interference at each receiver on one chunk's
-    draws, H road then V, as {receiver: totals}. Each road is walked in
-    blocks of whole rows, about _BLOCK_CELLS cells of (receiver x node)
-    gains each, one row at least; both roads' blocks reuse one buffer."""
-    nrows = len(chunk.s0)
-    distinct = list(dict.fromkeys(receivers))
-    nrx = len(distinct)
-    rx_x = np.array([rx.x for rx in distinct])
-    totals = np.zeros((nrx, nrows))
+def _interference(scenario: Scenario, roads: list, links: list[LinkSpec],
+                  delta: float | None) -> list[np.ndarray]:
+    """Per-realization interference of each link, H road then V: one row
+    per link, shared (a view) by the links of one (disc, receiver) pair.
+    ``roads`` holds per road (H, V) the positions, fading and row starts
+    of its transmitting nodes; with a sensing range ``delta`` (CSMA) the
+    nodes inside each link's transmitter's kill disc are silent.
+
+    Each road is walked in blocks of whole rows, about _BLOCK_CELLS cells
+    of (receiver x node) gains each, one row at least, in one buffer. Per
+    block, each kill disc (per distinct transmitter, or None) sums its
+    receivers' rows, once per (disc, receiver) pair."""
+    nrows = len(roads[0][2]) - 1
+    discs: dict = {}  # kill disc -> {receiver: its row of the disc's sums}
+    link_rows = []  # per link: its kill disc and its row of that disc's sums
+    for link in links:
+        disc = None if delta is None else link.tx
+        rxs = discs.setdefault(disc, {})
+        link_rows.append((disc, rxs.setdefault(link.rx, len(rxs))))
+    # Each receiver's row of the broadcast block, in order of first use:
+    # with no disc, the block's rows are the None disc's.
+    receivers = {rx: i for i, rx in enumerate(
+        dict.fromkeys(rx for rxs in discs.values() for rx in rxs))}
+    sums = {disc: np.zeros((len(rxs), nrows)) for disc, rxs in discs.items()}
+    nrx = len(receivers)
+    rx_x = np.array([rx.x for rx in receivers])
     per_rx = max(1, _BLOCK_CELLS // nrx)
-    widest = max(int(np.diff(starts).max()) for starts in chunk.starts)
+    widest = max(int(np.diff(starts).max()) for _, _, starts in roads)
     buf = np.empty(nrx * max(per_rx, widest))
-    for road, pos, fad, starts, loss in zip(
-            _ROADS, chunk.pos, chunk.fad, chunk.starts,
-            (scenario.loss_h, scenario.loss_v)):
+    for road, (pos, fad, starts), loss in zip(
+            _ROADS, roads, (scenario.loss_h, scenario.loss_v)):
         lo = 0
         while lo < nrows:
             # The most whole rows from row lo with at most per_rx nodes.
@@ -379,9 +393,14 @@ def _aloha_interference(scenario: Scenario, chunk: _Chunk,
                 out = buf[:nrx * (end - first)].reshape(nrx, end - first)
                 _weighted_gains(road, pos[first:end], fad[first:end], loss,
                                 rx_x, out)
-                totals[:, lo:hi] += _row_sums(out, starts[lo:hi + 1] - first)
+                bounds = starts[lo:hi + 1] - first
+                for disc, rxs in discs.items():
+                    block = out if disc is None else np.where(
+                        _clear_of_tx(road, pos[first:end], disc, delta),
+                        out[[receivers[rx] for rx in rxs]], 0.0)
+                    sums[disc][:, lo:hi] += _row_sums(block, bounds)
             lo = hi
-    return dict(zip(distinct, totals))
+    return [sums[disc][row] for disc, row in link_rows]
 
 
 @dataclass(frozen=True)
@@ -436,46 +455,24 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
     the conditional outage p_r = P(S0 < beta (N~ + I) / g) over the
     chunk's realizations."""
     s0 = chunk.s0
-    nrows = len(s0)
-    is_csma = isinstance(scenario.mac, Csma)
-    if is_csma:
+    roads = list(zip(chunk.pos, chunk.fad, chunk.starts))
+    delta = None
+    if isinstance(scenario.mac, Csma):
         delta = scenario.mac.delta
         # Retained nodes only: positions, fading, and the bounds of each
         # row's retained nodes.
-        retained = [(road, loss, pos[kept], fad[kept],
-                     np.searchsorted(kept, starts))
-                    for road, loss, pos, fad, starts, kept in zip(
-                        _ROADS, (scenario.loss_h, scenario.loss_v),
-                        chunk.pos, chunk.fad, chunk.starts, chunk.kept[delta])]
-
-        @functools.cache
-        def gains(rx: Position) -> list:
-            return [_weighted_gains(road, pos, fad, loss, np.array([rx.x]))[0]
-                    for road, loss, pos, fad, _ in retained]
-
-        @functools.cache
-        def clear(tx: Position) -> list:
-            return [_clear_of_tx(road, pos, tx, delta)
-                    for road, _, pos, _, _ in retained]
-    else:
-        totals = _aloha_interference(scenario, chunk,
-                                     [link.rx for link in links])
+        roads = [(pos[kept], fad[kept], np.searchsorted(kept, starts))
+                 for (pos, fad, starts), kept in zip(roads, chunk.kept[delta])]
+    interference = _interference(scenario, roads, links, delta)
 
     # Per link (a row each): beta (N~ + I) per realization, and the
     # useful path gain.
-    need = np.empty((len(links), nrows))
+    need = np.empty((len(links), len(s0)))
     gain = np.empty((len(links), 1))
     for li, link in enumerate(links):
-        # CSMA's kill disc makes interference depend on the transmitter.
-        if is_csma:
-            total = sum(_row_sums(np.where(road_clear, road_gains, 0.0), starts)
-                        for (*_, starts), road_gains, road_clear in zip(
-                            retained, gains(link.rx), clear(link.tx)))
-        else:
-            total = totals[link.rx]
         gain[li] = path_loss(scenario.loss_useful, link.tx, link.rx)
         tilde_n = link.noise_w / link.power_w
-        np.multiply(link.beta, tilde_n + total, out=need[li])
+        np.multiply(link.beta, tilde_n + interference[li], out=need[li])
     fails = np.count_nonzero(s0 * gain < need, axis=1)
     # The threshold on S0 is need / gain. With no useful signal it is
     # +inf where anything is to be beaten and 0 where nothing is, as the
@@ -518,13 +515,9 @@ def _truncation_warnings(scenario: Scenario, links: list[LinkSpec],
     tail = 0.0
     mac = scenario.mac
     for road, loss in zip(_ROADS, (scenario.loss_h, scenario.loss_v)):
-        lam = scenario.roads.density(road)
-        if isinstance(mac, Aloha):
-            lam_far = mac.p * lam
-        elif isinstance(mac, Csma):
-            lam_far = access_probability_from_mass(2.0 * mac.delta * lam) * lam
-        else:
-            lam_far = 0.0
+        lam_far = _effective_lambda(scenario, road)
+        if isinstance(mac, Csma):
+            lam_far *= access_probability_from_mass(2.0 * mac.delta * lam_far)
         tail += (2.0 * lam_far * loss.amplitude_a
                  * w ** (1.0 - loss.alpha) / (loss.alpha - 1.0))
     if tail > 1e-3 * tilde_n:

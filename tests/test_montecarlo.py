@@ -13,10 +13,10 @@ from crossrx import (Aloha, Csma, Erlang, Exponential, LogNormal, NoMac,
                      simulate_outage_sweep, simulate_outages)
 from crossrx import montecarlo
 from crossrx.model import EUCLIDEAN
-from crossrx.montecarlo import (STDERR_FLOOR, _aloha_interference, _Chunk,
-                                _clear_of_tx, _draw_chunk, _effective_lambda,
-                                _pack, _plan_rows, _retain, _row_offsets,
-                                _stream, _weighted_gains)
+from crossrx.montecarlo import (STDERR_FLOOR, _clear_of_tx, _draw_chunk,
+                                _effective_lambda, _interference, _pack,
+                                _plan_rows, _retain, _row_offsets, _stream,
+                                _weighted_gains)
 
 from conftest import CANYON, NOISE_W
 from oracles import failure_fractions
@@ -465,15 +465,16 @@ def flat_road(mean, rows, fading, rng, window=5000.0):
     return pos, sample_fading_array(fading, rng, (pos.size,)), row_starts(counts)
 
 
-def per_receiver_interference(scen, chunk, rx):
+def per_receiver_interference(scen, roads, rx, tx=None, delta=None):
     """Reference: each road's gains at rx, from the squared distance, and
     per row the sum of its nodes' gains in draw order, the first node's
     gain plus numpy's sum of the others (the order in which
-    np.add.reduceat sums a segment), H then V."""
-    total = np.zeros(len(chunk.s0))
-    for road, pos, fad, starts, loss in zip(
-            ("h", "v"), chunk.pos, chunk.fad, chunk.starts,
-            (scen.loss_h, scen.loss_v)):
+    np.add.reduceat sums a segment), H then V. With a transmitter ``tx``
+    and a sensing range ``delta``, the gains of the nodes within delta of
+    tx are 0.0 before the sums."""
+    total = np.zeros(len(roads[0][2]) - 1)
+    for road, (pos, fad, starts), loss in zip(
+            ("h", "v"), roads, (scen.loss_h, scen.loss_v)):
         if road == "h":
             d = pos - rx.x
             r_sq = d * d
@@ -483,6 +484,9 @@ def per_receiver_interference(scen, chunk, rx):
             d = abs(rx.x) + np.abs(pos)
             r_sq = d * d
         gains = fad * (loss.amplitude_a * r_sq ** (-loss.alpha / 2.0))
+        if delta is not None:
+            along, perp = (tx.x, tx.y) if road == "h" else (tx.y, tx.x)
+            gains[(pos - along) ** 2 + perp ** 2 <= delta * delta] = 0.0
         for row, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
             if hi > lo:
                 total[row] += gains[lo] + gains[lo + 1:hi].sum()
@@ -493,6 +497,8 @@ def loss(norm, alpha):
     return PathLossSpec(norm=norm, amplitude_a=3e-5, alpha=alpha)
 
 
+# delta comes last in the ids, after the road layout and the block size.
+@pytest.mark.parametrize("delta", [None, 300.0])
 @pytest.mark.parametrize("rows, mean_h, mean_v, loss_h, loss_v, fading", [
     # 700 rows: not a multiple of the rows per block
     (700, 60.0, 45.0, loss("euclidean", 2.0), loss("euclidean", 2.0),
@@ -516,12 +522,15 @@ def loss(norm, alpha):
 ])
 @pytest.mark.parametrize("block_cells", [None, 7])
 def test_aloha_pass_matches_per_receiver_formula(
-        make_scenario, monkeypatch, rows, mean_h, mean_v, loss_h, loss_v,
-        fading, block_cells):
-    # The blocked pass over all receivers must give every receiver's
-    # per-realization totals bit for bit, whatever the block size and
-    # whatever the order or repeats of the receivers; a row without a
-    # node reads exactly 0.0.
+        make_scenario, make_link, monkeypatch, rows, mean_h, mean_v, loss_h,
+        loss_v, fading, block_cells, delta):
+    # The blocked pass over all links must give every link's
+    # per-realization interference bit for bit, whatever the block size
+    # and whatever the order or repeats of the links. Without a kill disc
+    # (delta None, as under Aloha) exactly the rows with a node read above
+    # 0.0; with one (as under CSMA) some link's disc silences a node. The
+    # links share transmitters and receivers, repeat one link, and one
+    # transmitter, (80, 120), lies off both roads.
     if block_cells is not None:
         monkeypatch.setattr(montecarlo, "_BLOCK_CELLS", block_cells)
     rng = philox(5, rows)
@@ -534,25 +543,32 @@ def test_aloha_pass_matches_per_receiver_formula(
         assert (np.diff(starts_h) == 0).mean() > 0.5
         assert (np.diff(starts_v) == 0).mean() > 0.5
         assert 0 < occupied.sum() < rows
-    chunk = _Chunk(0, (pos_h, pos_v), (fad_h, fad_v), (starts_h, starts_v),
-                   np.ones(rows), None)
-    scen = make_scenario(Aloha(0.05), loss_h=loss_h, loss_v=loss_v)
-    receivers = [Position(0.0, 0.0), Position(110.0, 0.0),
-                 Position(0.0, 0.0), Position(-37.5, 0.0),
-                 Position(2500.0, 0.0), Position(110.0, 0.0)]
+    roads = [(pos_h, fad_h, starts_h), (pos_v, fad_v, starts_v)]
+    mac = Aloha(0.05) if delta is None else Csma(delta)
+    scen = make_scenario(mac, loss_h=loss_h, loss_v=loss_v)
+    links = [make_link((0, 0), (0, 0)), make_link((0, 0), (110, 0)),
+             make_link((0, 150), (110, 0)), make_link((80, 120), (0, 0)),
+             make_link((0, 0), (-37.5, 0)), make_link((110, 0), (2500, 0)),
+             make_link((0, 0), (110, 0))]
     # 24 distinct receivers in all
-    receivers += [Position(250.0 * i - 2999.5, 0.0) for i in range(20)]
-    totals = _aloha_interference(scen, chunk, receivers)
-    assert set(totals) == set(receivers) and len(totals) == 24
-    for rx in receivers:
-        expected = per_receiver_interference(scen, chunk, rx)
-        assert ((expected > 0.0) == occupied).all()
-        assert (totals[rx] == expected).all(), rx
-    for others in (receivers[::-1], receivers[3:] + receivers):
-        again = _aloha_interference(scen, chunk, others)
-        assert set(again) == set(receivers)
-        for rx in receivers:
-            assert (again[rx] == totals[rx]).all(), rx
+    links += [make_link((0, 150) if i % 2 else (80, 120),
+                        (250.0 * i - 2999.5, 0)) for i in range(20)]
+    assert len({link.rx for link in links}) == 24
+    got = _interference(scen, roads, links, delta)
+    assert len(got) == len(links) and all(row.shape == (rows,) for row in got)
+    silenced = False
+    for link, row in zip(links, got):
+        everyone = per_receiver_interference(scen, roads, link.rx)
+        assert ((everyone > 0.0) == occupied).all()
+        expected = (everyone if delta is None else per_receiver_interference(
+            scen, roads, link.rx, link.tx, delta))
+        silenced |= bool((expected < everyone).any())
+        assert (row == expected).all(), link
+    assert silenced == (delta is not None and occupied.any())
+    for others in (links[::-1], links[3:] + links):
+        again = dict(zip(others, _interference(scen, roads, others, delta)))
+        for link, row in zip(links, got):
+            assert (again[link] == row).all(), link
 
 
 @pytest.mark.parametrize("road, norm", [
