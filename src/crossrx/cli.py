@@ -531,7 +531,11 @@ def _monte_carlo(plan: RunPlan, points: list[_Point]) -> None:
     Points with equal scenarios, across sweeps too, form one job and
     share its draws, and one batch call evaluates every chunk of every
     job on one worker pool. A link's estimate does not depend on the
-    other links of its job, so the grouping changes no output bit.
+    other links of its job. Aloha jobs that differ only in p and have
+    the same receivers also share draws, nested across their p values
+    (``montecarlo.simulate_outages``): a point's bits then depend on
+    the p values of the run's jobs that share its receivers, never on
+    the worker count.
     """
     groups: dict[model.Scenario, list[_Point]] = {}
     for point in points:

@@ -19,47 +19,67 @@ stays independent of the analytic engine. S0 is still drawn and the
 failures still counted, for the tests' failure-fraction reference.
 
 Reproducibility contract: a run is a pure function of (scenario, links,
-settings). Realizations are processed in fixed-size chunks; chunk i draws
+settings) and, for an Aloha job, of the p values of its group (below).
+Realizations are processed in fixed-size chunks; chunk i draws
 everything it needs from its own SFC64 stream, seeded by
 SeedSequence(seed, spawn_key=(i,)), and the chunk layout depends only on
-scenario and settings. Under CSMA every
-node is drawn at its road's density, so neither the draws nor the chunk
-layout depend on the sensing range delta: CSMA jobs whose scenarios are
-equal except for delta form one delta-group and share each chunk's
-draws. ``simulate_outages`` takes a batch of (scenario, links) jobs and
+the group's scenarios and settings. Jobs that share draws form groups
+(_group_key):
+
+- Under CSMA every node is drawn at its road's density, so neither the
+  draws nor the chunk layout depend on the sensing range delta: CSMA
+  jobs whose scenarios are equal except for delta share each chunk's
+  draws, and a job's bits are the ones it gets alone.
+- Aloha jobs equal except for p whose links have the same set of
+  receivers draw each chunk once, at the group's largest p, and thin it
+  by nested binomial counts for each smaller p (_draw_chunk). A job's
+  bits then depend on the set of p values in its group, not on job
+  order or on jobs outside it; a group with one p draws what each of
+  its jobs draws alone. Each p keeps its law (independent thinning),
+  and the jobs of a group share common random numbers.
+
+``simulate_outages`` takes a batch of (scenario, links) jobs and
 evaluates every chunk of every group on one pool of ``workers``
 threads, so a batch of one-chunk jobs runs in parallel too. Threads only
 decide who evaluates which chunk for which jobs (the Matern II retained
 nodes at one delta do not depend on the other deltas evaluated with
 it). Each chunk gives every link its failure count and the mean and sum
 of squared deviations (M2) of its p_r, and each job merges its chunks'
-statistics in chunk order (Chan et al.'s pairwise update), so any worker
-count and any batch composition produce bit-identical results.
+statistics in chunk order (Chan et al.'s pairwise update), so no worker
+count changes a bit.
 
 Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
-fading, useful fading.
+fading, useful fading, [per smaller p of an Aloha group, from the top
+down, H and V nested counts].
 
 Each road's nodes are drawn as flat arrays, exactly as many as its
-Poisson counts, row (realization) after row. Under CSMA the positions
-are sorted within each row before the marks and the fading are drawn,
-so nothing is gathered after the draws. An interferer's gain at a receiver is fad * A * r^-alpha, taken as
+Poisson counts. Under CSMA they are read row (realization) after row,
+and the positions are sorted within each row before the marks and the
+fading are drawn, so nothing is gathered after the draws; an Aloha
+group reads them in segments (below). An interferer's gain at a
+receiver is fad * A * r^-alpha, taken as
 (r^2)^(-alpha / 2) of the squared distance with no square root (at
 alpha = 2 a true ``np.reciprocal`` per node, with the bits of
 ``** -1.0``). The useful link keeps ``propagation.path_loss``.
 
 Per-chunk work. Aloha keeps every drawn node (its thinning is folded
-into the draw). Under CSMA the chunk is drawn and retained in one call:
-one call of the Matern II kernel gives the retained nodes at every delta
-of the task's jobs, because retention depends on the marks alone; it
-walks the deltas in increasing order, and each delta only checks the
-survivors of the one before. One pass (_interference) then walks each
-road's transmitting nodes in blocks of whole rows, all distinct
-receivers of the job sharing one broadcast (receiver x node) block.
-Under CSMA each distinct transmitter's kill disc masks its receivers'
-rows of the block; Aloha has no disc and sums the block as it is. Each
-row is summed over its own nodes (_row_sums), so no sum depends on the
-block size or on the other receivers and links.
+into the draw), and each road's nodes are read as segments (level, row),
+level-major, the group's smallest p first, so that every p's nodes are
+a contiguous prefix. One pass (_interference) per chunk sums each
+segment for every receiver of the group, and a running sum over the
+levels gives each p its interference, row by row (_level_interference).
+Under CSMA the chunk
+is drawn and retained in one call: one call of the Matern II kernel
+gives the retained nodes at every delta of the task's jobs, because
+retention depends on the marks alone; it walks the deltas in increasing
+order, and each delta only checks the survivors of the one before. Each
+CSMA job then runs the pass on its retained nodes, each distinct
+transmitter's kill disc masking its receivers' rows of the block. The
+pass walks each road in blocks of whole segments, all distinct
+receivers sharing one broadcast (receiver x node) block, and sums each
+segment over its own nodes (_row_sums), so no sum depends on the block
+size or on the other receivers and links.
 """
 
 from __future__ import annotations
@@ -354,16 +374,18 @@ def _row_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _interference(scenario: Scenario, roads: list, links: list[LinkSpec],
                   delta: float | None) -> list[np.ndarray]:
-    """Per-realization interference of each link, H road then V: one row
+    """Per-segment interference of each link, H road then V: one array
     per link, shared (a view) by the links of one (disc, receiver) pair.
-    ``roads`` holds per road (H, V) the positions, fading and row starts
-    of its transmitting nodes; with a sensing range ``delta`` (CSMA) the
-    nodes inside each link's transmitter's kill disc are silent.
+    ``roads`` holds per road (H, V) the positions, fading and segment
+    starts of its transmitting nodes, a segment being a realization's
+    row or, in an Aloha group, a (level, row) (_draw_chunk); with a
+    sensing range ``delta`` (CSMA) the nodes inside each link's
+    transmitter's kill disc are silent.
 
-    Each road is walked in blocks of whole rows, about _BLOCK_CELLS cells
-    of (receiver x node) gains each, one row at least, in one buffer. Per
-    block, each kill disc (per distinct transmitter, or None) sums its
-    receivers' rows, once per (disc, receiver) pair."""
+    Each road is walked in blocks of whole segments, about _BLOCK_CELLS
+    cells of (receiver x node) gains each, one segment at least, in one
+    buffer. Per block, each kill disc (per distinct transmitter, or
+    None) sums its receivers' rows, once per (disc, receiver) pair."""
     nrows = len(roads[0][2]) - 1
     discs: dict = {}  # kill disc -> {receiver: its row of the disc's sums}
     link_rows = []  # per link: its kill disc and its row of that disc's sums
@@ -406,31 +428,49 @@ def _interference(scenario: Scenario, roads: list, links: list[LinkSpec],
 @dataclass(frozen=True)
 class _Chunk:
     """One chunk's draws, shared by every job of its task. Per road (H,
-    V), ``pos`` and ``fad`` are its nodes' positions and fading, row
-    after row, row r's nodes at [starts[r], starts[r + 1]); under CSMA
-    each row's positions increase. ``s0`` is the useful link's fading
-    per realization. Under CSMA ``kept`` maps each delta of the task's
-    jobs to its retained nodes, increasing indices into the road's
-    arrays (_retain); it is None else."""
+    V), ``pos`` and ``fad`` are its nodes' positions and fading, segment
+    after segment, segment s's nodes at [starts[s], starts[s + 1]); under
+    CSMA the segments are the rows, and each row's positions increase.
+    ``s0`` is the useful link's fading per realization. Under CSMA
+    ``kept`` maps each delta of the task's jobs to its retained nodes,
+    increasing indices into the road's arrays (_retain); it is None else.
+    ``levels`` holds the MACs whose nodes the segments of a row add, the
+    smallest Aloha p first; one MAC, and the segments are the rows,
+    unless an Aloha group has several p values. Without CSMA,
+    ``interference`` maps each (MAC, receiver) of the task's jobs to its
+    per-realization interference (_level_interference)."""
     index: int
     pos: tuple[np.ndarray, np.ndarray]
     fad: tuple[np.ndarray, np.ndarray]
     starts: tuple[np.ndarray, np.ndarray]
     s0: np.ndarray
     kept: dict | None
+    levels: tuple
+    interference: dict | None = None
 
 
 def _draw_chunk(scenarios: list[Scenario], settings: SimSettings,
                 chunk_index: int, nrows: int) -> _Chunk:
     """Chunk ``chunk_index`` of a task whose jobs have ``scenarios``, all
     of one group, so that they share the draws; under CSMA it is also
-    retained at every delta of the task's jobs."""
+    retained at every delta of the task's jobs.
+
+    Aloha draws at the group's largest p, as a job at that p alone
+    draws. Then, from the top p down, each smaller p_k keeps
+    n_k ~ Binomial(n_(k+1), p_k / p_(k+1)) of each row's nodes per road,
+    drawn last. The nodes are iid within a row, so each road's flat
+    arrays are read as segments (level, row), the smallest p first, of
+    sizes n_1, n_2 - n_1, ..., n_K - n_(K-1): every p's nodes are a
+    contiguous prefix. With one p the segments are the rows."""
     scenario = scenarios[0]
     rng = _stream(settings.seed, chunk_index)
     w = settings.window_half_length
     is_csma = isinstance(scenario.mac, Csma)
+    macs = (sorted({s.mac for s in scenarios}, key=lambda mac: mac.p)
+            if isinstance(scenario.mac, Aloha) else [scenario.mac])
+    top = replace(scenario, mac=macs[-1])
 
-    counts = [rng.poisson(2.0 * w * _effective_lambda(scenario, road), nrows)
+    counts = [rng.poisson(2.0 * w * _effective_lambda(top, road), nrows)
               for road in _ROADS]
     pos = [rng.uniform(-w, w, c.sum()) for c in counts]
     if is_csma:
@@ -442,10 +482,39 @@ def _draw_chunk(scenarios: list[Scenario], settings: SimSettings,
     fad = tuple(sample_fading_array(f, rng, (z.size,))
                 for f, z in zip((scenario.fading_h, scenario.fading_v), pos))
     s0 = sample_fading_array(scenario.fading_useful, rng, (nrows,))
+    nested = [counts]  # per p, the top one first: per road, its counts
+    for lower, upper in zip(macs[-2::-1], macs[:0:-1]):
+        nested.append([rng.binomial(n, lower.p / upper.p) for n in nested[-1]])
+    starts = []
+    for levels in zip(*nested):
+        # The nodes that each p adds to each row, the smallest p first,
+        # level after level: the road's (level, row) segments.
+        levels = levels[::-1]
+        sizes = np.concatenate(levels[:1] + tuple(
+            upper - lower for lower, upper in zip(levels, levels[1:])))
+        starts.append(np.concatenate(([0], np.cumsum(sizes))))
     kept = (_retain(*map(_pack, pos, offs, marks, (w, w)),
                     [s.mac.delta for s in scenarios]) if is_csma else None)
-    starts = tuple(np.concatenate(([0], np.cumsum(c))) for c in counts)
-    return _Chunk(chunk_index, tuple(pos), fad, starts, s0, kept)
+    return _Chunk(chunk_index, tuple(pos), fad, tuple(starts), s0, kept,
+                  tuple(macs))
+
+
+def _level_interference(scenario: Scenario, links: list[LinkSpec],
+                        chunk: _Chunk) -> _Chunk:
+    """``chunk``, drawn without CSMA, with each (MAC, receiver)'s
+    per-realization interference, for every receiver of ``links``: one
+    pass (_interference) sums each segment, and each row's segment sums
+    are added up over the levels, the smallest p first, in place."""
+    sums = _interference(scenario, list(zip(chunk.pos, chunk.fad,
+                                            chunk.starts)), links, None)
+    interference = {}
+    for rx, row in dict(zip((link.rx for link in links), sums)).items():
+        levels = row.reshape(len(chunk.levels), -1)
+        for lower, upper in zip(levels, levels[1:]):
+            upper += lower
+        interference.update(((mac, rx), level)
+                            for mac, level in zip(chunk.levels, levels))
+    return replace(chunk, interference=interference)
 
 
 def _job_chunk(scenario: Scenario, links: list[LinkSpec],
@@ -455,15 +524,18 @@ def _job_chunk(scenario: Scenario, links: list[LinkSpec],
     the conditional outage p_r = P(S0 < beta (N~ + I) / g) over the
     chunk's realizations."""
     s0 = chunk.s0
-    roads = list(zip(chunk.pos, chunk.fad, chunk.starts))
-    delta = None
     if isinstance(scenario.mac, Csma):
         delta = scenario.mac.delta
         # Retained nodes only: positions, fading, and the bounds of each
         # row's retained nodes.
         roads = [(pos[kept], fad[kept], np.searchsorted(kept, starts))
-                 for (pos, fad, starts), kept in zip(roads, chunk.kept[delta])]
-    interference = _interference(scenario, roads, links, delta)
+                 for pos, fad, starts, kept in zip(
+                     chunk.pos, chunk.fad, chunk.starts, chunk.kept[delta])]
+        interference = _interference(scenario, roads, links, delta)
+    else:
+        # The group's shared pass, read at this job's p.
+        interference = [chunk.interference[scenario.mac, link.rx]
+                        for link in links]
 
     # Per link (a row each): beta (N~ + I) per realization, and the
     # useful path gain.
@@ -547,12 +619,17 @@ def _merge(acc: list, part: tuple, n_b: int) -> None:
               m2 + part[2] + delta * delta * (n_a * n_b / n))
 
 
-def _group_key(job: int, scenario: Scenario):
-    """Jobs with equal keys draw identical chunks. CSMA draws every node at
-    its road's density whatever delta is, so CSMA jobs equal but for
-    delta share a key; every other job is its own group."""
+def _group_key(job: int, scenario: Scenario, links: list[LinkSpec]):
+    """Jobs with equal keys share each chunk's draws. CSMA draws every
+    node at its road's density whatever delta is, so CSMA jobs equal but
+    for delta share a key. Aloha jobs equal but for p whose links have
+    the same receivers share a key: their nested draws share one
+    interference pass. Every other job is its own group."""
     if isinstance(scenario.mac, Csma):
         return replace(scenario, mac=None)
+    if isinstance(scenario.mac, Aloha):
+        return (Aloha, replace(scenario, mac=None),
+                frozenset(link.rx for link in links))
     return job
 
 
@@ -561,10 +638,13 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
     """Outage estimates for a batch of jobs, each a scenario with the
     links to evaluate on its draws; one list per job, in job order.
 
-    Each job gets exactly what ``simulate_outage_sweep`` gives it alone:
-    its chunk layout, streams and failure counts do not depend on the
-    other jobs. CSMA jobs that differ only in delta form one group, and
-    each chunk of a group is drawn once for all of its jobs. A group
+    A job gets what ``simulate_outage_sweep`` gives it alone, unless it
+    is an Aloha job in a group with other p values: the module docstring
+    states the contract. CSMA jobs that differ only in delta form one
+    group, and so do Aloha jobs that differ only in p and have the same
+    receivers; each chunk of a group is drawn once for all of its jobs.
+    An Aloha group runs one task per chunk, which draws the chunk and
+    runs one interference pass for all of its p values. A CSMA group
     with fewer chunks than ``settings.workers`` splits its jobs into
     ceil(workers / chunks) contiguous slices, one task per (slice,
     chunk), so that one-chunk groups still fill the pool. Each CSMA task
@@ -576,7 +656,8 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
 
     When chunks raise, the exception of the first failing (job, chunk)
     in job and chunk order propagates, whatever the worker count, and
-    its ``job`` attribute holds the index of its job.
+    its ``job`` attribute holds the index of its job. A failure in a
+    task's shared draw, retention or pass fails each of its jobs.
     """
 
     return [[_estimate(n, mean, m2) for n, _, mean, m2 in job]
@@ -590,7 +671,7 @@ def _merged_stats(jobs: list[tuple[Scenario, list[LinkSpec]]],
     how the batch is run."""
 
     n = settings.realizations
-    groups: dict = {}  # group key -> (rows per chunk, jobs in order)
+    groups: dict = {}  # group key -> [(job, its planned rows)] in job order
     for job, (scenario, links) in enumerate(jobs):
         try:
             _truncation_warnings(scenario, links, settings)
@@ -599,14 +680,21 @@ def _merged_stats(jobs: list[tuple[Scenario, list[LinkSpec]]],
             exc.job = job
             raise
         if links:
-            key = _group_key(job, scenario)
-            groups.setdefault(key, (rows, []))[1].append(job)
+            key = _group_key(job, scenario, links)
+            groups.setdefault(key, []).append((job, rows))
 
     tasks = []  # (jobs, chunk index, rows)
-    for rows, members in groups.values():
+    for planned in groups.values():
+        members = [job for job, _ in planned]
+        # An Aloha group's rows are its top p's, the fewest of its jobs';
+        # the jobs of a CSMA group all plan the same rows.
+        rows = min(rows for _, rows in planned)
         chunks = [(idx, min(rows, n - start))
                   for idx, start in enumerate(range(0, n, rows))]
-        slices = min(len(members), -(-settings.workers // len(chunks)))
+        # Only CSMA groups split their jobs: an Aloha slice would repeat
+        # the group's whole draw and interference pass.
+        slices = (min(len(members), -(-settings.workers // len(chunks)))
+                  if isinstance(jobs[members[0]][0].mac, Csma) else 1)
         cuts = [len(members) * i // slices for i in range(slices + 1)]
         for lo, hi in zip(cuts, cuts[1:]):
             tasks.extend((members[lo:hi], idx, nrows) for idx, nrows in chunks)
@@ -617,6 +705,9 @@ def _merged_stats(jobs: list[tuple[Scenario, list[LinkSpec]]],
         try:
             chunk = _draw_chunk([jobs[job][0] for job in members], settings,
                                 idx, nrows)
+            if not isinstance(jobs[members[0]][0].mac, Csma):
+                # The jobs of an Aloha group have the same receivers.
+                chunk = _level_interference(*jobs[members[0]], chunk)
         except Exception as exc:
             return [exc] * len(members)
         outcomes = []

@@ -618,43 +618,144 @@ def test_reciprocal_has_the_bits_of_power_minus_one():
         assert np.array_equal(np.reciprocal(x), x ** -1.0)
 
 
-@pytest.mark.parametrize("macs", [[Aloha(0.3)], [Csma(150.0), Csma(400.0)]])
-def test_draw_chunk_layout(make_scenario, macs):
-    # The counts are the first two draws of the chunk's stream, and the
-    # positions the next: each road holds exactly its counts' sum of
-    # nodes, inside the window, row after row, in draw order under Aloha
-    # and ascending within each row under CSMA. A CSMA chunk comes back
-    # retained at the delta of every scenario it was drawn for, and the
-    # retained indices of each road increase and point at its nodes.
+@pytest.mark.parametrize("macs", [
+    [Aloha(0.1), Aloha(0.3), Aloha(0.02), Aloha(0.1)],
+    [Csma(150.0), Csma(400.0)]])
+def test_draw_chunk_layout(make_scenario, make_link, macs):
+    # The counts are the first two draws of the chunk's stream, at the
+    # group's largest p under Aloha, and the positions the next: each
+    # road holds exactly its counts' sum of nodes, inside the window, in
+    # draw order under Aloha and row after row, ascending within each
+    # row, under CSMA. Under Aloha the fading follows, then the nested
+    # counts of each smaller p from the top down, and the road's arrays
+    # are read as segments (level, row), level-major, the smallest p
+    # first; the pass gives one interference row per (p, receiver). A CSMA
+    # chunk comes back retained at the delta of every scenario it was
+    # drawn for, and the retained indices of each road increase and
+    # point at its nodes.
     scenarios = [make_scenario(mac) for mac in macs]
+    links = [make_link((100.0, 0.0), (0.0, 0.0)),
+             make_link((0.0, 150.0), (60.0, 0.0))]
     settings = SimSettings(realizations=50, window_half_length=2000.0, seed=6)
     w, rows = settings.window_half_length, 50
     is_csma = isinstance(macs[0], Csma)
     chunk = _draw_chunk(scenarios, settings, 3, rows)
     assert chunk.index == 3 and chunk.s0.shape == (rows,)
     rng = _stream(6, 3)
-    counts = [rng.poisson(2.0 * w * _effective_lambda(scenarios[0], road), rows)
+    top = scenarios[0] if is_csma else make_scenario(Aloha(0.3))
+    counts = [rng.poisson(2.0 * w * _effective_lambda(top, road), rows)
               for road in ("h", "v")]
-    for c, pos, fad, starts in zip(counts, chunk.pos, chunk.fad, chunk.starts):
+    drawn = [rng.uniform(-w, w, c.sum()) for c in counts]
+    for c, pos, fad, z in zip(counts, chunk.pos, chunk.fad, drawn):
         assert (c < c.max()).any()
         assert pos.shape == fad.shape == (c.sum(),)
-        assert (starts == row_starts(c)).all()
         assert (np.abs(pos) <= w).all()
-        drawn = rng.uniform(-w, w, c.sum())
-        for lo, hi in zip(starts[:-1], starts[1:]):
-            if is_csma:
+        if is_csma:
+            starts = row_starts(c)
+            for lo, hi in zip(starts[:-1], starts[1:]):
                 assert (np.diff(pos[lo:hi]) > 0).all()
-                np.testing.assert_array_equal(pos[lo:hi], np.sort(drawn[lo:hi]))
-            else:
-                np.testing.assert_array_equal(pos[lo:hi], drawn[lo:hi])
+                np.testing.assert_array_equal(pos[lo:hi], np.sort(z[lo:hi]))
+        else:
+            np.testing.assert_array_equal(pos, z)
     if is_csma:
+        assert all((starts == row_starts(c)).all()
+                   for starts, c in zip(chunk.starts, counts))
         assert sorted(chunk.kept) == [150.0, 400.0]
+        assert chunk.levels == (macs[0],) and chunk.interference is None
         for kept in chunk.kept.values():
             for pos, road_kept in zip(chunk.pos, kept):
                 assert road_kept.size
                 check_kept(road_kept, pos.size)
-    else:
-        assert chunk.kept is None
+        return
+    for f, fad in zip((top.fading_h, top.fading_v), chunk.fad):
+        np.testing.assert_array_equal(
+            fad, sample_fading_array(f, rng, fad.shape))
+    np.testing.assert_array_equal(
+        chunk.s0, sample_fading_array(top.fading_useful, rng, (rows,)))
+    mid = [rng.binomial(c, 0.1 / 0.3) for c in counts]
+    low = [rng.binomial(n, 0.02 / 0.1) for n in mid]
+    for c, n_mid, n_low, starts in zip(counts, mid, low, chunk.starts):
+        assert (starts == row_starts(
+            np.concatenate((n_low, n_mid - n_low, c - n_mid)))).all()
+    assert chunk.kept is None and chunk.interference is None
+    assert chunk.levels == (Aloha(0.02), Aloha(0.1), Aloha(0.3))
+    passed = montecarlo._level_interference(scenarios[0], links, chunk)
+    assert sorted(passed.interference, key=lambda k: (k[0].p, k[1].x)) == [
+        (Aloha(p), Position(x, 0.0)) for p in (0.02, 0.1, 0.3)
+        for x in (0.0, 60.0)]
+    assert all(row.shape == (rows,) for row in passed.interference.values())
+
+
+def test_nested_counts_thin_the_top_draw(make_scenario, make_link, roads):
+    # A group draws exactly what its top p draws alone: the positions,
+    # the fading, the useful fading and each row's count. Per row each
+    # smaller p keeps at most the nodes of the next larger one, and over
+    # the rows each p's mean count is its own, 2 w lambda p per road.
+    ps = [0.3, 0.0, 0.05, 0.01, 0.2]
+    links = [make_link((100.0, 0.0), (0.0, 0.0))]
+    settings = SimSettings(realizations=4000, window_half_length=2000.0,
+                           seed=8)
+    rows = 4000
+    group, alone = (montecarlo._level_interference(
+        scenarios[0], links, _draw_chunk(scenarios, settings, 2, rows))
+        for scenarios in ([make_scenario(Aloha(p)) for p in ps],
+                          [make_scenario(Aloha(0.3))]))
+    np.testing.assert_array_equal(group.s0, alone.s0)
+    for pos, fad, starts, pos_1, fad_1, starts_1, lam in zip(
+            group.pos, group.fad, group.starts, alone.pos, alone.fad,
+            alone.starts, (roads.lambda_h, roads.lambda_v)):
+        np.testing.assert_array_equal(pos, pos_1)
+        np.testing.assert_array_equal(fad, fad_1)
+        sizes = np.diff(starts).reshape(len(ps), rows)
+        assert (sizes >= 0).all()
+        nested = sizes.cumsum(axis=0)
+        assert (nested[-1] == np.diff(starts_1)).all()
+        assert (nested[0] == 0).all()
+        for p, n in zip(sorted(ps), nested):
+            mean = 2.0 * settings.window_half_length * lam * p
+            assert abs(n.mean() - mean) <= 5.0 * math.sqrt(mean / rows)
+    # The top p's rows hold the lone draw's nodes, dealt to the rows
+    # level by level, and the p = 0 rows none.
+    top, lone = (chunk.interference[Aloha(0.3), links[0].rx]
+                 for chunk in (group, alone))
+    assert (top != lone).any()
+    assert top.sum() == pytest.approx(lone.sum(), rel=1e-12, abs=0)
+    assert (group.interference[Aloha(0.0), links[0].rx] == 0.0).all()
+
+
+def test_segment_sums_add_up_to_each_prefix(make_scenario, make_link):
+    # Each road's nodes in segments (level, row), level-major: the pass
+    # on the segment starts, summed over the levels up to k, is the
+    # interference of the nodes of levels <= k, row by row, for every
+    # receiver; level 0 alone has the bits of a pass over its rows.
+    levels, rows = 3, 300
+    rng = philox(12, 0)
+    roads = []
+    for mean, fading in ((4.0, Exponential()), (2.5, LogNormal(3.2))):
+        sizes = rng.poisson(mean, (levels, rows))
+        pos = rng.uniform(-5000.0, 5000.0, sizes.sum())
+        roads.append((pos, sample_fading_array(fading, rng, (pos.size,)),
+                      row_starts(sizes.ravel())))
+    scen = make_scenario(Aloha(0.05), loss_v=loss("manhattan", 3.0))
+    links = [make_link((0, 0), (0, 0)), make_link((0, 150), (110, 0)),
+             make_link((80, 120), (-37.5, 0))]
+    for link, row in zip(links, _interference(scen, roads, links, None)):
+        cum = np.cumsum(row.reshape(levels, rows), axis=0)
+        for k in range(levels):
+            # Per road, the nodes of levels <= k, gathered row by row.
+            prefix = []
+            for pos, fad, starts in roads:
+                segs = starts[:-1].reshape(levels, rows)[:k + 1]
+                ends = starts[1:].reshape(levels, rows)[:k + 1]
+                idx = np.concatenate([
+                    np.arange(lo, hi) for r in range(rows)
+                    for lo, hi in zip(segs[:, r], ends[:, r])])
+                prefix.append((pos[idx], fad[idx],
+                               row_starts((ends - segs).sum(axis=0))))
+            expected = per_receiver_interference(scen, prefix, link.rx)
+            if k == 0:
+                assert (cum[0] == expected).all()
+            np.testing.assert_allclose(cum[k], expected, rtol=1e-12, atol=0)
 
 
 def test_aloha_failure_counts_are_pinned(make_scenario, make_link):
@@ -807,6 +908,114 @@ def test_nested_deltas_match_one_sweep_per_delta(make_scenario, make_link):
         assert simulate_outages(jobs[::-1], settings) == expected[::-1]
 
 
+def test_access_groups_are_worker_and_order_invariant(
+        make_scenario, make_link, roads, monkeypatch):
+    # Aloha jobs equal but for p whose links share one set of receivers
+    # form one group, drawn once per chunk at any worker count. Their
+    # estimates depend on the group's p values only: not on the worker
+    # count, the job order, or the jobs outside the group (a CSMA job,
+    # an Aloha job with other receivers, one on denser V traffic).
+    links = [make_link((100.0, 0.0), (0.0, 0.0)),
+             make_link((0.0, 150.0), (60.0, 0.0)),
+             make_link((-80.0, 0.0), (60.0, 0.0))]
+    same_rx = [make_link((250.0, 0.0), (60.0, 0.0)),
+               make_link((0.0, -40.0), (0.0, 0.0))]
+    group = [(make_scenario(Aloha(p)), job_links) for p, job_links in (
+        (0.05, links), (0.002, same_rx), (0.02, links),
+        (0.05, [same_rx[0], links[0]]), (0.0, links))]
+    denser_v = RoadConfig(lambda_h=roads.lambda_h, lambda_v=2 * roads.lambda_v)
+    others = [(make_scenario(Csma(300.0)), links),
+              (make_scenario(Aloha(0.02)), links[:1]),
+              (make_scenario(Aloha(0.02), roads=denser_v), links)]
+    base = SimSettings(realizations=5000, window_half_length=3000.0, seed=17)
+    assert -(-5000 // _plan_rows(group[0][0], base)) == 2
+    expected = simulate_outages(group, base)
+    # Each p's own estimates, and the two p = 0.05 jobs share a level.
+    assert len({est.p_out for job in expected for est in job}) == 12
+    assert expected[0][0] == expected[3][1]
+
+    draw_chunk = montecarlo._draw_chunk
+    draws = []
+
+    def counting(scenarios, settings, chunk_index, nrows):
+        draws.append(len(scenarios))
+        return draw_chunk(scenarios, settings, chunk_index, nrows)
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
+    mixed = others[:1] + group[3:] + others[1:] + group[:3]
+    for workers in (1, 2, 3):
+        settings = replace(base, workers=workers)
+        draws.clear()
+        assert simulate_outages(group, settings) == expected
+        assert draws == [5, 5]
+        assert simulate_outages(group[::-1], settings) == expected[::-1]
+        assert simulate_outages(mixed, settings)[1:3] == expected[3:]
+        assert simulate_outages(mixed, settings)[5:] == expected[:3]
+
+
+def test_silent_member_reads_the_noise_only_outage(make_scenario, make_link):
+    # A p = 0 member of a group keeps no node: each realization's p_r is
+    # the noise-only outage, exactly as its lone job's, with the floored
+    # error bar.
+    links = [make_link((100.0, 0.0), (0.0, 0.0)),
+             make_link((350.0, 0.0), (0.0, 0.0))]
+    settings = SimSettings(realizations=600, window_half_length=3000.0,
+                           seed=5, workers=2)
+    jobs = [(make_scenario(Aloha(p)), links) for p in (0.1, 0.0, 0.03)]
+    got = simulate_outages(jobs, settings)[1]
+    assert got == simulate_outage_sweep(jobs[1][0], links, settings)
+    for link, est in zip(links, got):
+        gain = path_loss(jobs[1][0].loss_useful, link.tx, link.rx)
+        noise_only = 1.0 - math.exp(-link.beta * link.noise_w
+                                    / link.power_w / gain)
+        assert est.p_out == pytest.approx(noise_only, rel=1e-14, abs=0)
+        assert 0.0 < est.p_out and est.std_err == STDERR_FLOOR
+
+
+def test_single_p_groups_and_other_receivers_draw_alone(make_scenario,
+                                                         make_link):
+    # Jobs at one p whose links share receivers, and Aloha jobs whose
+    # receivers differ, each get exactly their own simulate_outage_sweep.
+    links = [make_link((100.0, 0.0), (0.0, 0.0)),
+             make_link((0.0, 150.0), (60.0, 0.0))]
+    moved_tx = [make_link((0.0, -40.0), (60.0, 0.0)),
+                make_link((-80.0, 0.0), (0.0, 0.0))]
+    jobs = [(make_scenario(Aloha(0.05)), links),
+            (make_scenario(Aloha(0.02)), links[:1]),
+            (make_scenario(Aloha(0.05)), moved_tx),
+            (make_scenario(Aloha(0.01)), moved_tx[:1])]
+    base = SimSettings(realizations=5000, window_half_length=3000.0, seed=23)
+    expected = [simulate_outage_sweep(scen, job_links, base)
+                for scen, job_links in jobs]
+    for workers in (1, 2):
+        settings = replace(base, workers=workers)
+        assert simulate_outages(jobs, settings) == expected
+
+
+def test_shared_pass_failure_names_the_first_job(make_scenario, make_link,
+                                                 monkeypatch):
+    # A failure in a group's shared draw or interference pass is every
+    # member's; the first of them in job order is named.
+    interference = montecarlo._interference
+
+    def failing(scenario, roads, links, delta):
+        if delta is None:
+            raise OverflowError("shared pass")
+        return interference(scenario, roads, links, delta)
+
+    monkeypatch.setattr(montecarlo, "_interference", failing)
+    link = make_link((100.0, 0.0), (0.0, 0.0))
+    jobs = [(make_scenario(Csma(300.0)), [link]),
+            (make_scenario(Aloha(0.05)), [link]),
+            (make_scenario(Aloha(0.02)), [link])]
+    for workers in (1, 2, 3):
+        settings = SimSettings(realizations=1500, window_half_length=3000.0,
+                               seed=4, workers=workers)
+        with pytest.raises(OverflowError, match="shared pass") as info:
+            simulate_outages(jobs, settings)
+        assert info.value.job == 1
+
+
 def test_batch_failure_names_its_job(make_scenario, make_link, monkeypatch):
     from crossrx import montecarlo
 
@@ -882,10 +1091,11 @@ def test_workers_do_not_change_results(make_scenario, make_link):
 
 def test_pool_is_capped_at_the_cpu_count(make_scenario, make_link,
                                          monkeypatch):
-    # Five one-chunk jobs are five tasks. A huge workers count must start
-    # at most one thread per CPU and still give every job its own
-    # estimates. The fake pool records its size and runs the tasks in
-    # the calling thread, so no thread is started.
+    # Five one-chunk jobs, each with its own receiver, are five groups and
+    # five tasks. A huge workers count must start at most one thread per
+    # CPU and still give every job its own estimates. The fake pool
+    # records its size and runs the tasks in the calling thread, so no
+    # thread is started.
     sizes = []
 
     class SerialPool:
@@ -901,9 +1111,9 @@ def test_pool_is_capped_at_the_cpu_count(make_scenario, make_link,
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    link = make_link((100.0, 0.0), (0.0, 0.0))
-    jobs = [(make_scenario(Aloha(p)), [link])
-            for p in (0.01, 0.02, 0.03, 0.04, 0.05)]
+    jobs = [(make_scenario(Aloha(p)), [make_link((100.0, 0.0), (x, 0.0))])
+            for p, x in ((0.01, 0.0), (0.02, 10.0), (0.03, 20.0),
+                         (0.04, 30.0), (0.05, 40.0))]
     base = SimSettings(realizations=300, window_half_length=3000.0, seed=4)
     assert all(_plan_rows(scen, base) >= 300 for scen, _ in jobs)
     expected = [simulate_outage_sweep(scen, links, base)
