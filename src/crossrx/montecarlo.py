@@ -20,11 +20,13 @@ failures still counted, for the tests' failure-fraction reference.
 
 Reproducibility contract: a run is a pure function of (scenario, links,
 settings) and, for an Aloha job, of the p values of its group (below).
-Realizations are processed in fixed-size chunks; chunk i draws
-everything it needs from its own SFC64 stream, seeded by
-SeedSequence(seed, spawn_key=(i,)), and the chunk layout depends only on
-the group's scenarios and settings. Jobs that share draws form groups
-(_group_key):
+Realizations are processed in chunks: a group's n realizations are cut
+into ceil(n / rows) chunks whose sizes differ by at most one row
+(_chunk_sizes), rows being the most a chunk may hold under its cell
+budget (_plan_rows). Chunk i draws everything it needs from its own
+SFC64 stream, seeded by SeedSequence(seed, spawn_key=(i,)), and the
+chunk layout depends only on the group's scenarios and settings, never
+on ``workers``. Jobs that share draws form groups (_group_key):
 
 - Under CSMA every node is drawn at its road's density, so neither the
   draws nor the chunk layout depend on the sensing range delta: CSMA
@@ -55,7 +57,7 @@ down, H and V nested counts].
 
 Each road's nodes are drawn as flat arrays, exactly as many as its
 Poisson counts. Under CSMA they are read row (realization) after row,
-and the positions are sorted within each row before the marks and the
+and each row's positions are sorted in place before the marks and the
 fading are drawn, so nothing is gathered after the draws; an Aloha
 group reads them in segments (below). An interferer's gain at a
 receiver is fad * A * r^-alpha, taken as
@@ -104,7 +106,16 @@ from .propagation import fading_cdf_array, path_loss, sample_fading_array
 # hard-core kernel keeps keys, marks and per-delta work arrays besides
 # the draws, hence the tighter budget. The budgets set the
 # chunk layout, so changing one changes the Monte Carlo bits.
-_CELL_BUDGET_IID = 1 << 22
+# The Aloha budget is 2^21 cells. At 2^22 a 1000-realization fig4 group
+# of the access-sweep benchmark (top p = 0.3) was one 1000-row chunk,
+# run by one thread at workers = 2; at 2^21 it is two chunks of 500,
+# and that workload's Monte Carlo pass went 0.118 -> 0.088 s (medians
+# of 10 runs each, 2-core host) and its peak memory 121 -> 102 MB.
+# More chunks cost memory churn, though: the fig2 preset (105 chunks of
+# about 952 rows, 53 of 1909 before) takes about twice the page faults
+# and about 4% longer. At 2^20 fig2 took three times the page faults,
+# and 4.3-4.5 s against 3.6-3.7 s at workers = 1.
+_CELL_BUDGET_IID = 1 << 21
 _CELL_BUDGET_MATERN = 1 << 18
 _MAX_ROWS = 4096
 # Cells per broadcast block of the interference pass (_interference):
@@ -317,6 +328,14 @@ def _plan_rows(scenario: Scenario, settings: SimSettings) -> int:
     return max(1, min(_MAX_ROWS, budget // max(est_cells, 1)))
 
 
+def _chunk_sizes(n: int, rows: int) -> list[int]:
+    """The rows of each chunk of n realizations: ceil(n / rows) chunks of
+    at most ``rows`` rows, whose sizes differ by at most one, so that a
+    pool's threads get about equal shares of a job's work."""
+    count = -(-n // rows)
+    return [n * (i + 1) // count - n * i // count for i in range(count)]
+
+
 def _weighted_gains(road: str, pos: np.ndarray, fad: np.ndarray,
                     loss: PathLossSpec, rx_x: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
@@ -474,10 +493,13 @@ def _draw_chunk(scenarios: list[Scenario], settings: SimSettings,
               for road in _ROADS]
     pos = [rng.uniform(-w, w, c.sum()) for c in counts]
     if is_csma:
-        # Sorted within each row by one sort of the Matern keys, before
-        # the marks and the fading are drawn for the sorted nodes.
+        # Each row sorted in place, before the marks and the fading are
+        # drawn for the sorted nodes.
+        for z, c in zip(pos, counts):
+            ends = np.cumsum(c)
+            for lo, hi in zip((ends - c).tolist(), ends.tolist()):
+                z[lo:hi].sort()
         offs = [_row_offsets(c, w) for c in counts]
-        pos = [z[np.argsort(z + off)] for z, off in zip(pos, offs)]
         marks = [rng.random(z.size) for z in pos]
     fad = tuple(sample_fading_array(f, rng, (z.size,))
                 for f, z in zip((scenario.fading_h, scenario.fading_v), pos))
@@ -689,8 +711,7 @@ def _merged_stats(jobs: list[tuple[Scenario, list[LinkSpec]]],
         # An Aloha group's rows are its top p's, the fewest of its jobs';
         # the jobs of a CSMA group all plan the same rows.
         rows = min(rows for _, rows in planned)
-        chunks = [(idx, min(rows, n - start))
-                  for idx, start in enumerate(range(0, n, rows))]
+        chunks = list(enumerate(_chunk_sizes(n, rows)))
         # Only CSMA groups split their jobs: an Aloha slice would repeat
         # the group's whole draw and interference pass.
         slices = (min(len(members), -(-settings.workers // len(chunks)))

@@ -13,10 +13,10 @@ from crossrx import (Aloha, Csma, Erlang, Exponential, LogNormal, NoMac,
                      simulate_outage_sweep, simulate_outages)
 from crossrx import montecarlo
 from crossrx.model import EUCLIDEAN
-from crossrx.montecarlo import (STDERR_FLOOR, _clear_of_tx, _draw_chunk,
-                                _effective_lambda, _interference, _pack,
-                                _plan_rows, _retain, _row_offsets, _stream,
-                                _weighted_gains)
+from crossrx.montecarlo import (STDERR_FLOOR, _chunk_sizes, _clear_of_tx,
+                                _draw_chunk, _effective_lambda, _interference,
+                                _pack, _plan_rows, _retain, _row_offsets,
+                                _stream, _weighted_gains)
 
 from conftest import CANYON, NOISE_W
 from oracles import failure_fractions
@@ -310,8 +310,8 @@ def test_outage_tracks_analytic_at_high_erlang_shape(make_scenario, make_link,
 
 def test_estimate_bookkeeping(make_scenario, make_link):
     # The estimate is the merged mean of the p_r and its error bar the
-    # sample standard error of that mean, floored; on two chunks (4096 +
-    # 904 rows), so the merge is exercised, at worker counts 1 and 2.
+    # sample standard error of that mean, floored; on two chunks (2500 +
+    # 2500 rows), so the merge is exercised, at worker counts 1 and 2.
     scen = make_scenario(Aloha(0.05))
     link = make_link((200, 0), (0, 0))
     for workers in (1, 2):
@@ -655,6 +655,9 @@ def test_draw_chunk_layout(make_scenario, make_link, macs):
             for lo, hi in zip(starts[:-1], starts[1:]):
                 assert (np.diff(pos[lo:hi]) > 0).all()
                 np.testing.assert_array_equal(pos[lo:hi], np.sort(z[lo:hi]))
+            # The order of one argsort of the Matern keys, row by row.
+            np.testing.assert_array_equal(
+                pos, z[np.argsort(z + _row_offsets(c, w))])
         else:
             np.testing.assert_array_equal(pos, z)
     if is_csma:
@@ -760,8 +763,8 @@ def test_segment_sums_add_up_to_each_prefix(make_scenario, make_link):
 
 def test_aloha_failure_counts_are_pinned(make_scenario, make_link):
     # As for CSMA: these counts move only if the draws, the interference
-    # gains or the SINR count change beyond rounding. Two chunks (4096 +
-    # 904 rows), receivers at, before and past the intersection, worker
+    # gains or the SINR count change beyond rounding. Two chunks (2500 +
+    # 2500 rows), receivers at, before and past the intersection, worker
     # counts 1 and 2; a rural LOS road pair, a street canyon with
     # log-normal shadowing, and an alpha = 3 V road.
     links = ([make_link((10.0 + 60.0 * i, 0.0), (0.0, 0.0)) for i in range(5)]
@@ -773,13 +776,13 @@ def test_aloha_failure_counts_are_pinned(make_scenario, make_link):
     shadowed = LogNormal(3.2)
     pinned = [
         (make_scenario(Aloha(0.05)),
-         [410, 2166, 3236, 3891, 4294, 3498, 4264, 3321, 2747, 2172]),
+         [412, 2079, 3143, 3800, 4255, 3390, 4244, 3211, 2655, 2070]),
         (make_scenario(Aloha(0.05), loss_useful=CANYON, loss_v=CANYON,
                        fading_useful=shadowed, fading_v=shadowed),
-         [283, 1774, 2867, 3683, 4198, 3189, 4592, 2794, 2269, 2203]),
+         [298, 1795, 2920, 3691, 4185, 3202, 4569, 2854, 2303, 2239]),
         (make_scenario(Aloha(0.05), loss_v=PathLossSpec(
             norm="euclidean", amplitude_a=3e-5, alpha=3.0)),
-         [263, 1376, 2206, 2854, 3295, 2453, 3182, 2177, 1769, 1312])]
+         [264, 1333, 2122, 2726, 3221, 2346, 3077, 2089, 1687, 1248])]
     for scen, fails in pinned:
         for workers in (1, 2):
             settings = SimSettings(realizations=5000, window_half_length=12000.0,
@@ -792,7 +795,7 @@ def test_aloha_failure_counts_are_pinned(make_scenario, make_link):
 def test_csma_failure_counts_are_pinned(make_scenario, make_link):
     # The output is a pure function of scenario, links and settings, so
     # these failure counts move only if the draws, the Matern retention,
-    # the kill discs or the SINR count change. Two chunks (318 + 82
+    # the kill discs or the SINR count change. Two chunks (200 + 200
     # rows), several transmitters on and off the roads, worker counts 1
     # and 2.
     links = ([make_link((10.0 + 50.0 * i, 0.0), (0.0, 0.0)) for i in range(6)]
@@ -800,8 +803,8 @@ def test_csma_failure_counts_are_pinned(make_scenario, make_link):
                 make_link((0.0, 150.0), (200.0, 0.0)),
                 make_link((80.0, 120.0), (0.0, 0.0)),
                 make_link((0.0, -40.0), (60.0, 0.0))])
-    pinned = {500.0: [0, 57, 153, 256, 326, 370, 247, 362, 227, 75],
-              2000.0: [0, 2, 14, 25, 39, 58, 25, 50, 25, 6]}
+    pinned = {500.0: [3, 69, 176, 275, 331, 374, 262, 366, 246, 91],
+              2000.0: [0, 4, 13, 25, 43, 67, 19, 60, 15, 6]}
     for delta, fails in pinned.items():
         for workers in (1, 2):
             settings = SimSettings(realizations=400, window_half_length=12000.0,
@@ -1080,13 +1083,45 @@ def test_grouped_failure_names_the_first_job(make_scenario, make_link,
         assert info.value.job == 1
 
 
-def test_workers_do_not_change_results(make_scenario, make_link):
+@pytest.mark.parametrize("rows", [1, 500, 833, montecarlo._MAX_ROWS])
+def test_chunk_sizes_are_near_equal(rows):
+    # n realizations are cut into ceil(n / rows) chunks of at most rows
+    # rows, whose sizes add up to n and differ by at most one.
+    for n in (1, rows, rows + 1, 5000, 20000):
+        sizes = _chunk_sizes(n, rows)
+        assert len(sizes) == -(-n // rows)
+        assert sum(sizes) == n
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= rows
+    assert _chunk_sizes(5000, 4096) == [2500, 2500]
+    assert _chunk_sizes(20000, 4096) == [4000] * 5
+    assert _chunk_sizes(238, 119) == [119, 119]
+
+
+def test_workers_do_not_change_results(make_scenario, make_link, monkeypatch):
+    # A job of three chunks, one a row longer than the others: each chunk
+    # is drawn with its _chunk_sizes rows, and the merged statistics keep
+    # their bits at worker counts 1, 2 and 3.
     scen = make_scenario(Aloha(0.1))
-    link = make_link((100, 0), (0, 0))
-    base = SimSettings(realizations=6000, seed=7)
-    split = SimSettings(realizations=6000, seed=7, workers=3)
-    assert (simulate_outage(scen, link, base).p_out
-            == simulate_outage(scen, link, split).p_out)
+    links = [make_link((100, 0), (0, 0)), make_link((0, 150), (60, 0))]
+    base = SimSettings(realizations=8194, seed=7)
+    assert _chunk_sizes(8194, _plan_rows(scen, base)) == [2731, 2731, 2732]
+    draw_chunk = montecarlo._draw_chunk
+    drawn = []
+
+    def recording(scenarios, settings, chunk_index, nrows):
+        drawn.append((chunk_index, nrows))
+        return draw_chunk(scenarios, settings, chunk_index, nrows)
+
+    monkeypatch.setattr(montecarlo, "_draw_chunk", recording)
+    runs = []
+    for workers in (1, 2, 3):
+        drawn.clear()
+        runs.append(montecarlo._merged_stats(
+            [(scen, links)], replace(base, workers=workers)))
+        assert sorted(drawn) == [(0, 2731), (1, 2731), (2, 2732)]
+    assert runs[0] == runs[1] == runs[2]
+    assert all(n == 8194 for n, *_ in runs[0][0])
 
 
 def test_pool_is_capped_at_the_cpu_count(make_scenario, make_link,
