@@ -33,12 +33,12 @@ on ``workers``. Jobs that share draws form groups (_group_key):
   jobs whose scenarios are equal except for delta share each chunk's
   draws, and a job's bits are the ones it gets alone.
 - Aloha jobs equal except for p whose links have the same set of
-  receivers draw each chunk once, at the group's largest p, and thin it
-  by nested binomial counts for each smaller p (_draw_chunk). A job's
-  bits then depend on the set of p values in its group, not on job
-  order or on jobs outside it; a group with one p draws what each of
-  its jobs draws alone. Each p keeps its law (independent thinning),
-  and the jobs of a group share common random numbers.
+  receivers draw each chunk once, as independent Poisson layers of
+  density (p_k - p_(k-1)) lambda, one per p (_draw_chunk): the layers
+  up to p_k are the road's process thinned to p_k, so each p keeps its
+  law, and the jobs share common random numbers. A job's bits depend
+  on the set of p values in its group, not on job order or on jobs
+  outside it; a group with one p draws what each of its jobs draws alone.
 
 ``simulate_outages`` takes a batch of (scenario, links) jobs and
 evaluates every chunk of every group on one pool of ``workers``
@@ -52,8 +52,8 @@ count changes a bit.
 
 Per-chunk draw order (fixed, do not reorder): H counts, V counts, H
 positions, V positions, [H marks, V marks when CSMA], H fading, V
-fading, useful fading, [per smaller p of an Aloha group, from the top
-down, H and V nested counts].
+fading, useful fading. Each road's counts are one Poisson call of
+(layer x row) shape, one layer but for an Aloha group with several p.
 
 Each road's nodes are drawn as flat arrays, exactly as many as its
 Poisson counts. Under CSMA they are read row (realization) after row,
@@ -453,9 +453,9 @@ class _Chunk:
     ``s0`` is the useful link's fading per realization. Under CSMA
     ``kept`` maps each delta of the task's jobs to its retained nodes,
     increasing indices into the road's arrays (_retain); it is None else.
-    ``levels`` holds the MACs whose nodes the segments of a row add, the
-    smallest Aloha p first; one MAC, and the segments are the rows,
-    unless an Aloha group has several p values. Without CSMA,
+    ``levels`` holds the MACs of the Poisson layers, the smallest Aloha
+    p first; one MAC, and the segments are the rows, unless an Aloha
+    group has several p values. Without CSMA,
     ``interference`` maps each (MAC, receiver) of the task's jobs to its
     per-realization interference (_level_interference)."""
     index: int
@@ -474,47 +474,40 @@ def _draw_chunk(scenarios: list[Scenario], settings: SimSettings,
     of one group, so that they share the draws; under CSMA it is also
     retained at every delta of the task's jobs.
 
-    Aloha draws at the group's largest p, as a job at that p alone
-    draws. Then, from the top p down, each smaller p_k keeps
-    n_k ~ Binomial(n_(k+1), p_k / p_(k+1)) of each row's nodes per road,
-    drawn last. The nodes are iid within a row, so each road's flat
-    arrays are read as segments (level, row), the smallest p first, of
-    sizes n_1, n_2 - n_1, ..., n_K - n_(K-1): every p's nodes are a
-    contiguous prefix. With one p the segments are the rows."""
+    Each road's counts are one Poisson draw of (layer, row) shape: one
+    layer per distinct p of an Aloha group, the smallest first, layer k
+    of mean 2 w (p_k - p_(k-1)) lambda, and one layer for every other
+    task. Read level-major, they are the road's segments (level, row),
+    so every p's nodes are a contiguous prefix; with one layer the
+    segments are the rows."""
     scenario = scenarios[0]
     rng = _stream(settings.seed, chunk_index)
     w = settings.window_half_length
     is_csma = isinstance(scenario.mac, Csma)
     macs = (sorted({s.mac for s in scenarios}, key=lambda mac: mac.p)
             if isinstance(scenario.mac, Aloha) else [scenario.mac])
-    top = replace(scenario, mac=macs[-1])
 
-    counts = [rng.poisson(2.0 * w * _effective_lambda(top, road), nrows)
-              for road in _ROADS]
+    counts = []
+    for road in _ROADS:
+        # Each level's mean less the one below, so that a lone layer keeps
+        # the bits of a lone job's mean.
+        means = [2.0 * w * _effective_lambda(replace(scenario, mac=mac), road)
+                 for mac in macs]
+        layers = np.diff(means, prepend=0.0)[:, None]
+        counts.append(rng.poisson(layers, (len(macs), nrows)).ravel())
+    starts = [np.concatenate(([0], np.cumsum(c))) for c in counts]
     pos = [rng.uniform(-w, w, c.sum()) for c in counts]
     if is_csma:
         # Each row sorted in place, before the marks and the fading are
         # drawn for the sorted nodes.
-        for z, c in zip(pos, counts):
-            ends = np.cumsum(c)
-            for lo, hi in zip((ends - c).tolist(), ends.tolist()):
+        for z, bounds in zip(pos, starts):
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
                 z[lo:hi].sort()
         offs = [_row_offsets(c, w) for c in counts]
         marks = [rng.random(z.size) for z in pos]
     fad = tuple(sample_fading_array(f, rng, (z.size,))
                 for f, z in zip((scenario.fading_h, scenario.fading_v), pos))
     s0 = sample_fading_array(scenario.fading_useful, rng, (nrows,))
-    nested = [counts]  # per p, the top one first: per road, its counts
-    for lower, upper in zip(macs[-2::-1], macs[:0:-1]):
-        nested.append([rng.binomial(n, lower.p / upper.p) for n in nested[-1]])
-    starts = []
-    for levels in zip(*nested):
-        # The nodes that each p adds to each row, the smallest p first,
-        # level after level: the road's (level, row) segments.
-        levels = levels[::-1]
-        sizes = np.concatenate(levels[:1] + tuple(
-            upper - lower for lower, upper in zip(levels, levels[1:])))
-        starts.append(np.concatenate(([0], np.cumsum(sizes))))
     kept = (_retain(*map(_pack, pos, offs, marks, (w, w)),
                     [s.mac.delta for s in scenarios]) if is_csma else None)
     return _Chunk(chunk_index, tuple(pos), fad, tuple(starts), s0, kept,
@@ -645,7 +638,7 @@ def _group_key(job: int, scenario: Scenario, links: list[LinkSpec]):
     """Jobs with equal keys share each chunk's draws. CSMA draws every
     node at its road's density whatever delta is, so CSMA jobs equal but
     for delta share a key. Aloha jobs equal but for p whose links have
-    the same receivers share a key: their nested draws share one
+    the same receivers share a key: their layered draws share one
     interference pass. Every other job is its own group."""
     if isinstance(scenario.mac, Csma):
         return replace(scenario, mac=None)
@@ -666,15 +659,15 @@ def simulate_outages(jobs: list[tuple[Scenario, list[LinkSpec]]],
     group, and so do Aloha jobs that differ only in p and have the same
     receivers; each chunk of a group is drawn once for all of its jobs.
     An Aloha group runs one task per chunk, which draws the chunk and
-    runs one interference pass for all of its p values. A CSMA group
-    with fewer chunks than ``settings.workers`` splits its jobs into
-    ceil(workers / chunks) contiguous slices, one task per (slice,
+    runs one interference pass for all of its p values. The pool holds
+    at most ``settings.workers`` threads and at most one per CPU; a CSMA
+    group with fewer chunks than that pool size splits its jobs into
+    ceil(pool size / chunks) contiguous slices, one task per (slice,
     chunk), so that one-chunk groups still fill the pool. Each CSMA task
     runs the Matern kernel once for the deltas of its jobs; a delta's
     retained nodes do not depend on which other deltas share the task,
     so neither the slices nor the job order change them. The tasks go
-    to one pool of at most ``settings.workers`` threads and at most one
-    per CPU; with one thread they run in the calling thread.
+    to that one pool; with one thread they run in the calling thread.
 
     When chunks raise, the exception of the first failing (job, chunk)
     in job and chunk order propagates, whatever the worker count, and
@@ -705,6 +698,7 @@ def _merged_stats(jobs: list[tuple[Scenario, list[LinkSpec]]],
             key = _group_key(job, scenario, links)
             groups.setdefault(key, []).append((job, rows))
 
+    pool_size = min(settings.workers, os.cpu_count() or 1)
     tasks = []  # (jobs, chunk index, rows)
     for planned in groups.values():
         members = [job for job, _ in planned]
@@ -714,7 +708,7 @@ def _merged_stats(jobs: list[tuple[Scenario, list[LinkSpec]]],
         chunks = list(enumerate(_chunk_sizes(n, rows)))
         # Only CSMA groups split their jobs: an Aloha slice would repeat
         # the group's whole draw and interference pass.
-        slices = (min(len(members), -(-settings.workers // len(chunks)))
+        slices = (min(len(members), -(-pool_size // len(chunks)))
                   if isinstance(jobs[members[0]][0].mac, Csma) else 1)
         cuts = [len(members) * i // slices for i in range(slices + 1)]
         for lo, hi in zip(cuts, cuts[1:]):
@@ -739,7 +733,7 @@ def _merged_stats(jobs: list[tuple[Scenario, list[LinkSpec]]],
                 outcomes.append(exc)
         return outcomes
 
-    threads = min(settings.workers, len(tasks), os.cpu_count() or 1)
+    threads = min(pool_size, len(tasks))
     if threads <= 1:
         results = [run(task) for task in tasks]
     else:

@@ -168,6 +168,37 @@ def test_summary_prints_what_ran(engines, delta, stderr, tmp_path, capsys):
     assert ("max mc std-err = " in line) == stderr
 
 
+def test_summary_reads_outage_whatever_the_outputs(tmp_path):
+    # fig4 writes outage and throughput CSVs. Each sweep's agreement
+    # figures are the maxima of its outage rows, never the throughput
+    # rows', which are in bits/s/Hz and here the larger.
+    text = (preset_config("fig4")
+            .replace("beta_db = 8", "beta_db = 15")
+            .replace("tx_x_m = 100", "tx_x_m = 20")
+            .replace("tx_x_m = 200", "tx_x_m = 40")
+            .replace("realizations = 20000", "realizations = 300")
+            .replace("window_half_length_m = 200000",
+                     "window_half_length_m = 5000")
+            .replace("workers = 4", "workers = 1"))
+    text = re.sub(r"(?m)^values = .*$", "values = 0.3, 0.6, 0.9", text)
+    summary = run_config_text(text, out_dir=str(tmp_path))
+    assert [sweep["name"] for sweep in summary["sweeps"]] == ["r100", "r200"]
+    for out in ("outage", "throughput"):
+        _, rows = read_rows(tmp_path / f"fig4_{out}.csv")
+        for sweep, tx_x in zip(summary["sweeps"], ("20.0", "40.0")):
+            mine = [r for r in rows if float(r["tx_x_m"]) == float(tx_x)]
+            assert len(mine) == 3
+            delta = max(abs(float(r[f"{out}_analytic"]) - float(r[f"{out}_mc"]))
+                        for r in mine)
+            stderr = max(float(r["mc_stderr"]) for r in mine)
+            if out == "outage":
+                assert (sweep["max_abs_delta"], sweep["max_stderr"]) == (
+                    delta, stderr)
+            else:
+                assert delta > sweep["max_abs_delta"]
+                assert stderr > sweep["max_stderr"]
+
+
 def test_worker_count_is_cosmetic(tmp_path):
     run_config_text(BASE_CONFIG, out_dir=str(tmp_path / "a"))
     run_config_text(re.sub(r"workers = 1", "workers = 3", BASE_CONFIG),

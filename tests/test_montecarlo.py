@@ -621,37 +621,49 @@ def test_reciprocal_has_the_bits_of_power_minus_one():
 @pytest.mark.parametrize("macs", [
     [Aloha(0.1), Aloha(0.3), Aloha(0.02), Aloha(0.1)],
     [Csma(150.0), Csma(400.0)]])
-def test_draw_chunk_layout(make_scenario, make_link, macs):
-    # The counts are the first two draws of the chunk's stream, at the
-    # group's largest p under Aloha, and the positions the next: each
-    # road holds exactly its counts' sum of nodes, inside the window, in
-    # draw order under Aloha and row after row, ascending within each
-    # row, under CSMA. Under Aloha the fading follows, then the nested
-    # counts of each smaller p from the top down, and the road's arrays
-    # are read as segments (level, row), level-major, the smallest p
-    # first; the pass gives one interference row per (p, receiver). A CSMA
-    # chunk comes back retained at the delta of every scenario it was
-    # drawn for, and the retained indices of each road increase and
-    # point at its nodes.
+def test_draw_chunk_layout(make_scenario, make_link, macs, monkeypatch):
+    # The chunk's stream, replayed: per road (H, V) one Poisson draw of
+    # (level x row) counts, one level under CSMA and one per distinct p
+    # under Aloha, the smallest p first, each level's mean less the one
+    # below it; then the positions, [the marks under CSMA], the fading
+    # and the useful fading, and nothing after. Each road holds exactly
+    # its counts' sum of nodes, inside the window, in draw order under
+    # Aloha and row after row, ascending within each row, under CSMA.
+    # Under Aloha the road's arrays are read as segments (level, row),
+    # level-major, and the pass gives one interference row per (p,
+    # receiver). A CSMA chunk comes back retained at the delta of every
+    # scenario it was drawn for, and the retained indices of each road
+    # increase and point at its nodes.
     scenarios = [make_scenario(mac) for mac in macs]
     links = [make_link((100.0, 0.0), (0.0, 0.0)),
              make_link((0.0, 150.0), (60.0, 0.0))]
     settings = SimSettings(realizations=50, window_half_length=2000.0, seed=6)
     w, rows = settings.window_half_length, 50
     is_csma = isinstance(macs[0], Csma)
+    streams = []
+    monkeypatch.setattr(montecarlo, "_stream",
+                        lambda *key: streams.append(_stream(*key)) or streams[-1])
     chunk = _draw_chunk(scenarios, settings, 3, rows)
     assert chunk.index == 3 and chunk.s0.shape == (rows,)
     rng = _stream(6, 3)
-    top = scenarios[0] if is_csma else make_scenario(Aloha(0.3))
-    counts = [rng.poisson(2.0 * w * _effective_lambda(top, road), rows)
-              for road in ("h", "v")]
+    if is_csma:
+        counts = [rng.poisson(2.0 * w * _effective_lambda(scenarios[0], road),
+                              rows) for road in ("h", "v")]
+    else:
+        counts = []
+        for road in ("h", "v"):
+            means = [2.0 * w * _effective_lambda(make_scenario(Aloha(p)), road)
+                     for p in (0.02, 0.1, 0.3)]
+            layers = np.array(means) - np.array([0.0] + means[:-1])
+            counts.append(rng.poisson(layers[:, None], (3, rows)).ravel())
     drawn = [rng.uniform(-w, w, c.sum()) for c in counts]
-    for c, pos, fad, z in zip(counts, chunk.pos, chunk.fad, drawn):
+    for c, pos, fad, z, starts in zip(counts, chunk.pos, chunk.fad, drawn,
+                                      chunk.starts):
         assert (c < c.max()).any()
         assert pos.shape == fad.shape == (c.sum(),)
         assert (np.abs(pos) <= w).all()
+        assert (starts == row_starts(c)).all()
         if is_csma:
-            starts = row_starts(c)
             for lo, hi in zip(starts[:-1], starts[1:]):
                 assert (np.diff(pos[lo:hi]) > 0).all()
                 np.testing.assert_array_equal(pos[lo:hi], np.sort(z[lo:hi]))
@@ -661,8 +673,18 @@ def test_draw_chunk_layout(make_scenario, make_link, macs):
         else:
             np.testing.assert_array_equal(pos, z)
     if is_csma:
-        assert all((starts == row_starts(c)).all()
-                   for starts, c in zip(chunk.starts, counts))
+        for z in chunk.pos:
+            rng.random(z.size)
+    scen = scenarios[0]
+    for f, fad in zip((scen.fading_h, scen.fading_v), chunk.fad):
+        np.testing.assert_array_equal(
+            fad, sample_fading_array(f, rng, fad.shape))
+    np.testing.assert_array_equal(
+        chunk.s0, sample_fading_array(scen.fading_useful, rng, (rows,)))
+    [stream] = streams
+    np.testing.assert_array_equal(stream.bit_generator.random_raw(8),
+                                  rng.bit_generator.random_raw(8))
+    if is_csma:
         assert sorted(chunk.kept) == [150.0, 400.0]
         assert chunk.levels == (macs[0],) and chunk.interference is None
         for kept in chunk.kept.values():
@@ -670,16 +692,6 @@ def test_draw_chunk_layout(make_scenario, make_link, macs):
                 assert road_kept.size
                 check_kept(road_kept, pos.size)
         return
-    for f, fad in zip((top.fading_h, top.fading_v), chunk.fad):
-        np.testing.assert_array_equal(
-            fad, sample_fading_array(f, rng, fad.shape))
-    np.testing.assert_array_equal(
-        chunk.s0, sample_fading_array(top.fading_useful, rng, (rows,)))
-    mid = [rng.binomial(c, 0.1 / 0.3) for c in counts]
-    low = [rng.binomial(n, 0.02 / 0.1) for n in mid]
-    for c, n_mid, n_low, starts in zip(counts, mid, low, chunk.starts):
-        assert (starts == row_starts(
-            np.concatenate((n_low, n_mid - n_low, c - n_mid)))).all()
     assert chunk.kept is None and chunk.interference is None
     assert chunk.levels == (Aloha(0.02), Aloha(0.1), Aloha(0.3))
     passed = montecarlo._level_interference(scenarios[0], links, chunk)
@@ -689,41 +701,43 @@ def test_draw_chunk_layout(make_scenario, make_link, macs):
     assert all(row.shape == (rows,) for row in passed.interference.values())
 
 
-def test_nested_counts_thin_the_top_draw(make_scenario, make_link, roads):
-    # A group draws exactly what its top p draws alone: the positions,
-    # the fading, the useful fading and each row's count. Per row each
-    # smaller p keeps at most the nodes of the next larger one, and over
-    # the rows each p's mean count is its own, 2 w lambda p per road.
+def test_aloha_layers_are_independent_poisson_counts(make_scenario, make_link,
+                                                     roads):
+    # Each road's layer k holds, per row, a Poisson count of mean and
+    # variance 2 w (p_k - p_(k-1)) lambda, the smallest p first; the
+    # p = 0 layer is empty, and so is that p's interference. Both checks
+    # are within 5 standard errors over 4000 rows: sqrt(m / n) for the
+    # mean and sqrt((m + 2 m^2) / n), the Poisson law's, for the
+    # variance. A group with one p draws its counts as a lone Poisson
+    # draw of that p's mean per road, H then V.
     ps = [0.3, 0.0, 0.05, 0.01, 0.2]
     links = [make_link((100.0, 0.0), (0.0, 0.0))]
     settings = SimSettings(realizations=4000, window_half_length=2000.0,
-                           seed=8)
-    rows = 4000
-    group, alone = (montecarlo._level_interference(
-        scenarios[0], links, _draw_chunk(scenarios, settings, 2, rows))
-        for scenarios in ([make_scenario(Aloha(p)) for p in ps],
-                          [make_scenario(Aloha(0.3))]))
-    np.testing.assert_array_equal(group.s0, alone.s0)
-    for pos, fad, starts, pos_1, fad_1, starts_1, lam in zip(
-            group.pos, group.fad, group.starts, alone.pos, alone.fad,
-            alone.starts, (roads.lambda_h, roads.lambda_v)):
-        np.testing.assert_array_equal(pos, pos_1)
-        np.testing.assert_array_equal(fad, fad_1)
-        sizes = np.diff(starts).reshape(len(ps), rows)
-        assert (sizes >= 0).all()
-        nested = sizes.cumsum(axis=0)
-        assert (nested[-1] == np.diff(starts_1)).all()
-        assert (nested[0] == 0).all()
-        for p, n in zip(sorted(ps), nested):
-            mean = 2.0 * settings.window_half_length * lam * p
-            assert abs(n.mean() - mean) <= 5.0 * math.sqrt(mean / rows)
-    # The top p's rows hold the lone draw's nodes, dealt to the rows
-    # level by level, and the p = 0 rows none.
-    top, lone = (chunk.interference[Aloha(0.3), links[0].rx]
-                 for chunk in (group, alone))
-    assert (top != lone).any()
-    assert top.sum() == pytest.approx(lone.sum(), rel=1e-12, abs=0)
+                           seed=21)
+    w, rows = settings.window_half_length, 4000
+    group = montecarlo._level_interference(
+        make_scenario(Aloha(0.0)), links,
+        _draw_chunk([make_scenario(Aloha(p)) for p in ps], settings, 2, rows))
+    assert group.levels == tuple(Aloha(p) for p in sorted(ps))
+    for starts, lam in zip(group.starts, (roads.lambda_h, roads.lambda_v)):
+        layers = np.diff(starts).reshape(len(ps), rows)
+        assert (layers >= 0).all()
+        assert (layers[0] == 0).all()
+        below = 0.0
+        for p, n in zip(sorted(ps), layers):
+            m = 2.0 * w * lam * (p - below)
+            below = p
+            assert abs(n.mean() - m) <= 5.0 * math.sqrt(m / rows)
+            assert abs(n.var(ddof=1) - m) <= 5.0 * math.sqrt(
+                (m + 2.0 * m * m) / rows)
     assert (group.interference[Aloha(0.0), links[0].rx] == 0.0).all()
+
+    lone = make_scenario(Aloha(0.2))
+    chunk = _draw_chunk([lone, lone], settings, 5, rows)
+    rng = _stream(21, 5)
+    for road, starts in zip(("h", "v"), chunk.starts):
+        np.testing.assert_array_equal(np.diff(starts), rng.poisson(
+            2.0 * w * _effective_lambda(lone, road), rows))
 
 
 def test_segment_sums_add_up_to_each_prefix(make_scenario, make_link):
@@ -846,7 +860,8 @@ def test_delta_groups_match_one_sweep_per_job(make_scenario, make_link,
     # between them, a CSMA job on denser V traffic and a CSMA job without
     # links do not join them. Every job must still get the failure counts
     # of its own simulate_outage_sweep call, at worker counts that run the
-    # group as one task per chunk (1, 2) or split its deltas (3, 5).
+    # group as one task per chunk (1, 2) or split its deltas (3, 5), and
+    # at 5 workers on 2 CPUs, whose pool of 2 threads does not split them.
     from crossrx import montecarlo
 
     links = [make_link((100.0, 0.0), (0.0, 0.0)),
@@ -878,9 +893,11 @@ def test_delta_groups_match_one_sweep_per_job(make_scenario, make_link,
         return draw_chunk(scenarios, settings, chunk_index, nrows)
 
     monkeypatch.setattr(montecarlo, "_draw_chunk", counting)
-    # Draws per worker count: the delta group's 2 chunks once per slice,
-    # plus the Aloha job's 1 and the denser-V job's 3.
-    for workers, n_draws in ((1, 6), (2, 6), (3, 8), (5, 10)):
+    # Draws per (worker count, CPU count): the delta group's 2 chunks once
+    # per slice, plus the Aloha job's 1 and the denser-V job's 3.
+    for workers, cpus, n_draws in ((1, 8, 6), (2, 8, 6), (3, 8, 8),
+                                   (5, 8, 10), (5, 2, 6)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         draws.clear()
         settings = SimSettings(realizations=1500, window_half_length=3000.0,
                                seed=4, workers=workers)
