@@ -420,38 +420,27 @@ def _located(point: _Point, exc: Exception, more: str = "") -> Exception:
 
 def _delta_for_access(p_a: float, tx: model.Position,
                       roads: model.RoadConfig) -> float:
-    """Invert the sensing radius from a target access probability at tx."""
+    """Invert the sensing radius from a target access probability at tx.
+    scipy.optimize is imported here, on the first inversion, not at start-up."""
     if not 0.0 < p_a < 1.0:
         raise SchemaError(f"access_probability {p_a} must be in (0, 1)")
-    # (1 - exp(-m))/m = p_a has a unique positive root in the mass m.
-    mass = _bracketed_root(lambda m: -math.expm1(-m) - p_a * m,
-                           1e-12, 2.0 / p_a, p_a, xtol=1e-15)
-    hi = 1.0
-    for _ in range(80):
-        if mac.contention_mass(tx, hi, roads) >= mass:
-            break
-        hi *= 2.0
-    else:
-        raise SchemaError(
-            f"cannot reach access probability {p_a} at tx: roads too sparse")
-    return _bracketed_root(
-        lambda delta: mac.contention_mass(tx, delta, roads) - mass,
-        1e-9, hi, p_a, xtol=1e-12)
-
-
-def _bracketed_root(f, lo: float, hi: float, p_a: float, xtol: float) -> float:
-    """brentq's root of f in [lo, hi]. For p_a close enough to 1 the mass
-    root, about 2 (1 - p_a), falls below 1e-12 or the delta root below
-    1e-9 m; then f has no sign change on the bracket and p_a is rejected.
-    scipy.optimize is imported here, on the first inversion, not at start-up."""
     from scipy.optimize import brentq
 
+    # (1 - exp(-m))/m = p_a has a unique positive root in the mass m. For
+    # p_a within about 5e-13 of 1 it, about 2 (1 - p_a), falls below the
+    # bracket; then f has no sign change and p_a is rejected.
     try:
-        return brentq(f, lo, hi, xtol=xtol, rtol=1e-14)
+        mass = brentq(lambda m: -math.expm1(-m) - p_a * m, 1e-12, 2.0 / p_a,
+                      xtol=1e-15, rtol=1e-14)
     except ValueError:
         raise SchemaError(
             f"access_probability {p_a} is too close to 1: its sensing "
             "radius is too small to solve for") from None
+    delta = mac.sensing_range(tx, mass, roads)
+    if delta == math.inf:
+        raise SchemaError(
+            f"cannot reach access probability {p_a} at tx: roads too sparse")
+    return delta
 
 
 def _sweep_points(plan: RunPlan, sweep: SweepSpec,

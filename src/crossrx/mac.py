@@ -11,6 +11,9 @@ which is what couples the two roads' contention. Inside the tagged
 transmitter's own ball the intensity is exactly zero: everyone there
 lost the timer race to the node we condition on transmitting.
 
+``sensing_range`` is the exact inverse of ``contention_mass`` in delta:
+the smallest ball radius whose contention mass reaches a given value.
+
 Positions handed to these functions must sit on one of the roads; the
 contention geometry is only defined there.
 """
@@ -61,6 +64,32 @@ def contention_mass(z_pos: Position, delta: float, roads: RoadConfig) -> float:
     if r <= delta:
         mass += 2.0 * math.sqrt(delta * delta - r * r) * other
     return mass
+
+
+def sensing_range(z_pos: Position, mass: float, roads: RoadConfig) -> float:
+    """The delta whose contention mass at z_pos is ``mass``; +inf when
+    both roads are empty.
+
+    With a, b the own and the other road's densities, r = |z| and
+    h = mass/2: delta = h/a while the ball stays on its own road
+    (h <= r*a). Past that, delta solves delta*a + sqrt(delta^2 - r^2)*b = h,
+    a quadratic whose root is written without cancellation. It is h/a
+    when b = 0 and sqrt((h/b)^2 + r^2) when a = 0.
+    """
+
+    if not mass > 0:
+        raise ValueError(f"contention mass must be positive, got {mass}")
+    road = _road_of(z_pos)
+    a = roads.density(road)
+    b = roads.density("v" if road == "h" else "h")
+    r = abs(z_pos.x) if road == "h" else abs(z_pos.y)
+    h = 0.5 * mass
+    if h <= r * a:
+        return h / a
+    if a == 0.0 and b == 0.0:
+        return math.inf
+    return (h * h + b * b * r * r) / (
+        h * a + b * math.sqrt(h * h + r * r * (b * b - a * a)))
 
 
 def access_probability_from_mass(mass: float) -> float:

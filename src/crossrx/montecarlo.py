@@ -594,9 +594,10 @@ def _truncation_warnings(scenario: Scenario, links: list[LinkSpec],
         if lam > 0 and w < 10.0 / lam:
             _warn(f"window half-length {w} m is under 10 mean spacings for "
                   f"{tag}={lam}; point counts will be tiny")
-    if not links:
-        return
-    tilde_n = links[0].noise_w / links[0].power_w
+    # The smallest normalized noise among links with noise sets the bound:
+    # truncated interference weighs most on that link.
+    tilde_n = min((link.noise_w / link.power_w for link in links
+                   if link.noise_w > 0), default=0.0)
     if tilde_n <= 0:
         return
     tail = 0.0

@@ -586,32 +586,59 @@ def test_csma_access_sweep_loads_quadpack_and_brentq(tmp_path):
 
 
 def test_delta_for_access_roundtrip():
-    roads = RoadConfig(lambda_h=0.01, lambda_v=0.01)
-    for tx in (Position(0, 0), Position(150, 0)):
-        for p_a in (0.02, 0.1, 0.4):
-            delta = _delta_for_access(p_a, tx, roads)
-            assert np.isclose(access_probability(tx, delta, roads), p_a,
-                              rtol=1e-10)
+    on_both = (Position(0, 0), Position(150, 0), Position(0, 150))
+    for roads, txs in (
+            (RoadConfig(lambda_h=0.01, lambda_v=0.01), on_both),
+            (RoadConfig(lambda_h=0.01, lambda_v=0.003), on_both),
+            # An empty own road: only the other road's chord contends.
+            (RoadConfig(lambda_h=0.0, lambda_v=0.01), (Position(150, 0),))):
+        for tx in txs:
+            for p_a in (0.02, 0.1, 0.4):
+                delta = _delta_for_access(p_a, tx, roads)
+                assert np.isclose(access_probability(tx, delta, roads), p_a,
+                                  rtol=1e-10)
     with pytest.raises(SchemaError):
         _delta_for_access(1.5, Position(0, 0), roads)
 
 
-@pytest.mark.parametrize("p_a", ["0.99999999999", "0.999999999999",
-                                 "0.99999999999999"])
-def test_access_probability_too_close_to_one(p_a, tmp_path, capsys):
-    # With tx at the corner the first two need a delta below the bracket's
-    # 1e-9 m, the last a contention mass below 1e-12: config errors, not
-    # crashes.
+def near_one_config(p_a):
+    """BASE_CONFIG as a CSMA sweep of the one access probability p_a, with
+    tx at the corner."""
     text = BASE_CONFIG.replace(
         "protocol = aloha\np = 0.01", "protocol = csma\ndelta_m = 100")
     text = text.replace("tx_x_m = 100", "tx_x_m = 0")
-    text = text.replace(
+    return text.replace(
         "axis = tx_rx_distance\nvalues = 100, 200, 300",
         "axis = access_probability\nvalues = " + p_a + "\nrx_x_m = 100")
+
+
+@pytest.mark.parametrize("p_a", ["0.99999999999", "0.999999999999"])
+def test_access_probability_near_one_runs(p_a, tmp_path):
+    # The contention mass, about 2 (1 - p_a), is still in its bracket, and
+    # delta, its exact inverse, is about 5e-10 and 5e-11 m.
+    text = near_one_config(p_a).replace("engines = both", "engines = analytic")
     cfg = tmp_path / "near_one.ini"
     cfg.write_text(text)
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "tiny_outage.csv")
+    assert [float(row["p_a"]) for row in rows] == [float(p_a)]
+    plan = parse(text)
+    tx, roads = plan.link.tx, plan.scenario.roads
+    delta = _delta_for_access(float(p_a), tx, roads)
+    assert abs(access_probability(tx, delta, roads) - float(p_a)) <= 1e-15
+    scenario = dataclasses.replace(plan.scenario, mac=Csma(delta=delta))
+    link = dataclasses.replace(plan.link, rx=Position(100.0, 0.0))
+    assert float(rows[0]["outage_analytic"]) == (
+        1.0 - reception_probability(scenario, link))
+
+
+def test_access_probability_too_close_to_one(tmp_path, capsys):
+    # The contention mass, about 2e-14, falls below the bracket's 1e-12:
+    # a config error, not a crash.
+    cfg = tmp_path / "near_one.ini"
+    cfg.write_text(near_one_config("0.99999999999999"))
     assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
-    assert (f"access_probability {float(p_a)} is too close to 1"
+    assert ("access_probability 0.99999999999999 is too close to 1"
             in capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == [cfg]
 

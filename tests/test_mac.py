@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from crossrx import (Aloha, Csma, Exponential, OffRoadPosition, PathLossSpec,
                      Position, RoadConfig, Scenario, WrongMac,
                      access_probability, aloha_intensity, contention_mass,
                      csma_intensity)
-from crossrx.mac import access_probability_from_mass
+from crossrx.mac import access_probability_from_mass, sensing_range
 
 
 def test_contention_mass_near_intersection(roads):
@@ -168,3 +168,45 @@ def test_csma_intensity_is_access_probability_times_density(
     else:
         expected = access_probability(pos, delta, roads) * roads.density(road)
     assert csma_intensity(road, scen, tx)(z) == expected
+
+
+# Densities: empty roads among them.
+DENSITIES = st.one_of(st.just(0.0), st.floats(1e-6, 0.1))
+
+
+@given(road=st.sampled_from("hv"), z=st.floats(-3000.0, 3000.0),
+       delta=st.floats(1e-3, 1e4), lam_h=DENSITIES, lam_v=DENSITIES)
+@example(road="h", z=0.0, delta=500.0, lam_h=0.01, lam_v=0.03)  # the corner
+@example(road="h", z=-300.0, delta=300.0, lam_h=0.02,
+         lam_v=0.01)  # delta = |z|, where the chord opens
+@example(road="h", z=300.0, delta=500.0, lam_h=0.0,
+         lam_v=0.01)  # empty own road
+@example(road="h", z=300.0, delta=500.0, lam_h=0.01,
+         lam_v=0.0)  # empty other road
+@example(road="v", z=150.0, delta=427.3, lam_h=0.01, lam_v=0.003)  # on V
+def test_sensing_range_inverts_contention_mass(road, z, delta, lam_h, lam_v):
+    roads = RoadConfig(lambda_h=lam_h, lambda_v=lam_v)
+    pos = Position(z, 0.0) if road == "h" else Position(0.0, z)
+    mass = contention_mass(pos, delta, roads)
+    # No ball reaching only an empty road has a unique radius.
+    assume(mass > 0)
+    assert math.isclose(sensing_range(pos, mass, roads), delta,
+                        rel_tol=1e-14)
+
+
+def test_sensing_range_reference_points(roads):
+    # The contention_mass reference points above, inverted.
+    for pos, mass in ((Position(300, 0), 18.0), (Position(0, 300), 18.0),
+                      (Position(0, 0), 20.0), (Position(600, 0), 10.0)):
+        assert math.isclose(sensing_range(pos, mass, roads), 500.0,
+                            rel_tol=1e-15)
+
+
+def test_sensing_range_edge_cases(roads):
+    empty = RoadConfig(lambda_h=0.0, lambda_v=0.0)
+    assert sensing_range(Position(150, 0), 0.05, empty) == math.inf
+    assert sensing_range(Position(0, 0), 0.05, empty) == math.inf
+    with pytest.raises(OffRoadPosition):
+        sensing_range(Position(3, 4), 18.0, roads)
+    with pytest.raises(ValueError):
+        sensing_range(Position(0, 0), 0.0, roads)

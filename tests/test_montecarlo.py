@@ -1223,3 +1223,12 @@ def test_truncation_warnings(make_scenario, make_link):
         with pytest.warns(UserWarning, match="truncation bias") as record:
             entry(SimSettings(realizations=5, window_half_length=2000.0))
         assert record[0].filename == __file__
+    # The links' smallest normalized noise sets the bound, whatever their
+    # order: the loud link's, not the first link's.
+    loud = make_link((0, 0), (100, 0), power_w=1e3)
+    quiet = make_link((0, 0), (200, 0), power_w=1e-6)
+    settings = SimSettings(realizations=5, window_half_length=5000.0)
+    for links in ([loud, quiet], [quiet, loud]):
+        with pytest.warns(UserWarning, match=r"truncated beyond the window "
+                          r"\(2\.400e-11"):
+            simulate_outage_sweep(make_scenario(Aloha(0.1)), links, settings)
