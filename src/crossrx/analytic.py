@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.special import betainc
-
 from .mac import access_probability_at, aloha_intensity, csma_intensity
 # Unused here; perfbench's tracer patches it by name.
 from .mac import access_probability  # noqa: F401
@@ -118,6 +116,10 @@ def _power_law_exponent(p: float, lam: float, amplitude: float, alpha: float,
 
     inv_alpha = 1.0 / alpha
     b = k + inv_alpha
+    if d > 0.0:
+        # x < 1 only off the receiver's road, so only such a road loads
+        # scipy.special, and it does so here rather than at start-up.
+        from scipy.special import betainc
 
     def incomplete_beta(a: float, x: float) -> float:
         # B(a, b) by lgamma, and no betainc call at x = 1 (the receiver's

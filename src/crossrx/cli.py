@@ -426,16 +426,26 @@ def _delta_for_access(p_a: float, tx: model.Position,
         raise SchemaError(f"access_probability {p_a} must be in (0, 1)")
     from scipy.optimize import brentq
 
-    # (1 - exp(-m))/m = p_a has a unique positive root in the mass m. For
-    # p_a within about 5e-13 of 1 it, about 2 (1 - p_a), falls below the
-    # bracket; then f has no sign change and p_a is rejected.
-    try:
+    # (1 - exp(-m))/m = p_a has a unique positive root in the mass m.
+    if p_a < 0.5:
         mass = brentq(lambda m: -math.expm1(-m) - p_a * m, 1e-12, 2.0 / p_a,
                       xtol=1e-15, rtol=1e-14)
-    except ValueError:
-        raise SchemaError(
-            f"access_probability {p_a} is too close to 1: its sensing "
-            "radius is too small to solve for") from None
+    else:
+        # Near p_a = 1 the two terms above cancel. Solve instead
+        # phi(m) = 1 - (1 - exp(-m))/m = eps, where eps = 1 - p_a is exact
+        # (Sterbenz), and take phi's Taylor series where its closed form
+        # cancels.
+        eps = 1.0 - p_a
+
+        def phi_minus_eps(m: float) -> float:
+            if m < 1e-3:
+                phi = m * (0.5 - m * (1.0 / 6.0 - m * (1.0 / 24.0 - m / 120.0)))
+            else:
+                phi = (m + math.expm1(-m)) / m
+            return phi - eps
+
+        mass = brentq(phi_minus_eps, 1e-300, 2.0 / p_a, xtol=1e-300,
+                      rtol=1e-14)
     delta = mac.sensing_range(tx, mass, roads)
     if delta == math.inf:
         raise SchemaError(

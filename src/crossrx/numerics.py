@@ -11,8 +11,9 @@ across runs and safe to call from worker threads.
 
 Gamma and the adaptive quadrature core are delegated to scipy (Lanczos
 gamma, QUADPACK with its built-in compactifying transform for infinite
-limits). ``scipy.integrate`` is imported on the first quadrature, not
-with this module, so runs that need only closed forms never load it; the
+limits). Neither is imported with this module: ``scipy.special`` on each
+``gamma_fn`` call, a test oracle, and ``scipy.integrate`` on the first
+quadrature, so runs that need only closed forms load neither; the
 hypergeometric series and the derivative stencils are local
 because we need tight control over the z <= 0 regime and the step
 schedule.
@@ -22,8 +23,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
-
-import scipy.special
 
 
 class PoleError(ValueError):
@@ -47,6 +46,7 @@ def gamma_fn(x: float) -> float:
 
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"gamma has a pole at {x}")
+    import scipy.special
     return float(scipy.special.gamma(x))
 
 

@@ -6,6 +6,11 @@ power fading); LogNormal is sampler-only and must be approximated by
 :func:`erlang_fit`, the one surrogate the analytic engine uses, before
 entering any Laplace-transform pipeline.
 
+Nothing here imports scipy at load time: ``fading_cdf_array`` imports
+the one special function it needs (``gammainc`` for Erlang k > 1,
+``ndtr`` for log-normal) when called, and :func:`erlang_fit` takes
+ln Gamma of its integer shapes from ``math.lgamma``.
+
 The Erlang Laplace transform is (1 + s*theta)^(-k). The exponent is
 negative: a Laplace transform of a nonnegative random variable cannot
 exceed one, and the exponential special case 1/(1 + s) confirms the sign.
@@ -18,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .model import Erlang, FadingSpec, LogNormal, PathLossSpec, Position, distance
 
@@ -124,12 +128,14 @@ def fading_cdf_array(f: FadingSpec, t: np.ndarray) -> np.ndarray:
         if f.k == 1:
             np.expm1(np.negative(u, out=u), out=u)
             return np.negative(u, out=u)
-        return scipy.special.gammainc(float(f.k), u, out=u)
+        from scipy.special import gammainc
+        return gammainc(float(f.k), u, out=u)
     if isinstance(f, LogNormal):
+        from scipy.special import ndtr
         with np.errstate(divide="ignore"):
             z = np.log(t)
         z /= f.sigma_db * _DB_TO_LN
-        return scipy.special.ndtr(z, out=z)
+        return ndtr(z, out=z)
     raise UnsupportedDistribution(f"no CDF for {f!r}")
 
 
@@ -162,17 +168,22 @@ def erlang_fit(sigma_db: float) -> Erlang:
         raise ValueError(
             f"sigma_db must be finite and positive, got {sigma_db}")
     rng = np.random.Generator(np.random.Philox(key=[_FIT_SEED, 0]))
+    # One buffer for the draws, their exponentials and their logs.
+    x = rng.standard_normal(_FIT_SAMPLES)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x = np.exp(rng.standard_normal(_FIT_SAMPLES) * (sigma_db * _DB_TO_LN))
+        x *= sigma_db * _DB_TO_LN
+        np.exp(x, out=x)
         mean = float(x.mean())
-        mean_log = float(np.log(x).mean())
+        np.log(x, out=x)
+        mean_log = float(x.mean())
     if not (math.isfinite(mean) and math.isfinite(mean_log)):
         raise FitDegenerate(f"sigma_db = {sigma_db} overflows the fit's samples")
 
     ks = np.arange(1, _K_SEARCH_MAX + 1, dtype=float)
+    log_gamma = np.array([math.lgamma(k) for k in ks])
     # Per-sample log-likelihood at theta = mean/k:
     #   (k-1) E[ln x] - k - k ln(mean/k) - ln Gamma(k)
-    ll = (ks - 1.0) * mean_log - ks - ks * np.log(mean / ks) - scipy.special.gammaln(ks)
+    ll = (ks - 1.0) * mean_log - ks - ks * np.log(mean / ks) - log_gamma
     k_best = int(np.argmax(ll)) + 1
     if k_best == _K_SEARCH_MAX:
         raise FitDegenerate(

@@ -19,6 +19,7 @@ from crossrx import cli
 from crossrx.cli import (AxisMismatch, SchemaError, UnknownPreset,
                          _delta_for_access, _parse_config, compare_files,
                          main, preset_config, run_config_text)
+from crossrx.mac import sensing_range
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:expected interference truncated")
@@ -528,16 +529,18 @@ def test_prefix_with_a_directory_fails_before_the_engines(
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-# Runs in a fresh interpreter, since this one has scipy.integrate loaded
-# already: reads a config on stdin, runs it into ./out, then prints which
-# of the two lazily imported scipy modules are loaded.
+# Runs in a fresh interpreter, since this one has scipy loaded already:
+# reads a config on stdin, runs it into ./out, then prints which of scipy
+# and its three lazily imported modules are loaded. "scipy" is loaded
+# whenever any scipy module is.
 _IMPORT_PROBE = """\
 import sys
 import crossrx, crossrx.cli
 from crossrx.cli import main, run_config_text
 run_config_text(sys.stdin.read(), out_dir="out")
 {more}
-print(*(m for m in ("scipy.integrate", "scipy.optimize") if m in sys.modules))
+print(*(m for m in ("scipy", "scipy.integrate", "scipy.optimize",
+                    "scipy.special") if m in sys.modules))
 """
 
 
@@ -561,6 +564,40 @@ def test_closed_form_runs_load_neither_quadpack_nor_brentq(tmp_path):
     assert len(rows) == 3
 
 
+def test_lognormal_surrogate_loads_no_scipy(tmp_path):
+    # The Erlang fit takes ln Gamma from math.lgamma, and the surrogate
+    # k0 = 2 link's roads are closed forms that need no special function.
+    text = BASE_CONFIG.replace(
+        "[fading_useful]\nfamily = exponential\ntheta = 1",
+        "[fading_useful]\nfamily = lognormal\nsigma_db = 3.2")
+    text = text.replace("engines = both", "engines = analytic")
+    more = 'assert main(["fit-erlang", "--sigma-db", "2.5"]) == 0'
+    assert _scipy_loaded_by(text, tmp_path, more) == []
+    _, rows = read_rows(tmp_path / "out" / "tiny_outage.csv")
+    assert len(rows) == 3
+
+
+def test_special_function_first_loaded_on_a_pool_thread(tmp_path):
+    # The Monte Carlo estimator's CDF of an Erlang k0 = 3 useful gain is
+    # scipy.special's gammainc. 10000 realizations make three chunks, so
+    # at workers = 2 on two CPUs the first call, and with it the import,
+    # is on a pool thread; the bytes must not depend on that.
+    text = BASE_CONFIG.replace(
+        "[fading_useful]\nfamily = exponential\ntheta = 1",
+        "[fading_useful]\nfamily = erlang\nk = 3\ntheta = 1")
+    text = text.replace("engines = both", "engines = montecarlo")
+    text = text.replace("realizations = 2000", "realizations = 10000")
+    csvs = []
+    for workers in (1, 2):
+        run_dir = tmp_path / f"w{workers}"
+        run_dir.mkdir()
+        assert _scipy_loaded_by(
+            text.replace("workers = 1", f"workers = {workers}"),
+            run_dir) == ["scipy", "scipy.special"]
+        csvs.append((run_dir / "out" / "tiny_outage.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def test_csma_access_sweep_loads_quadpack_and_brentq(tmp_path):
     text = BASE_CONFIG.replace(
         "protocol = aloha\np = 0.01", "protocol = csma\ndelta_m = 100")
@@ -570,8 +607,8 @@ def test_csma_access_sweep_loads_quadpack_and_brentq(tmp_path):
         "output = outage\nengines = both",
         "axis = access_probability\nvalues = 0.05, 0.1\n"
         "output = outage\nengines = analytic\nrx_x_m = 100")
-    assert _scipy_loaded_by(text, tmp_path) == ["scipy.integrate",
-                                                "scipy.optimize"]
+    assert _scipy_loaded_by(text, tmp_path) == [
+        "scipy", "scipy.integrate", "scipy.optimize", "scipy.special"]
     plan = parse(text)
     link = LinkSpec(tx=Position(0.0, 0.0), rx=Position(100.0, 0.0),
                     power_w=plan.link.power_w, noise_w=plan.link.noise_w,
@@ -612,10 +649,12 @@ def near_one_config(p_a):
         "axis = access_probability\nvalues = " + p_a + "\nrx_x_m = 100")
 
 
-@pytest.mark.parametrize("p_a", ["0.99999999999", "0.999999999999"])
+@pytest.mark.parametrize("p_a", ["0.99999999999", "0.999999999999",
+                                 "0.99999999999999"])
 def test_access_probability_near_one_runs(p_a, tmp_path):
-    # The contention mass, about 2 (1 - p_a), is still in its bracket, and
-    # delta, its exact inverse, is about 5e-10 and 5e-11 m.
+    # For p_a >= 0.5 the mass m solves 1 - (1 - exp(-m))/m = 1 - p_a,
+    # whose right side is exact: m is about 2 (1 - p_a), here 2e-11 to
+    # 2e-14, and delta, its exact inverse, about 5e-10 to 5e-15 m.
     text = near_one_config(p_a).replace("engines = both", "engines = analytic")
     cfg = tmp_path / "near_one.ini"
     cfg.write_text(text)
@@ -626,21 +665,14 @@ def test_access_probability_near_one_runs(p_a, tmp_path):
     tx, roads = plan.link.tx, plan.scenario.roads
     delta = _delta_for_access(float(p_a), tx, roads)
     assert abs(access_probability(tx, delta, roads) - float(p_a)) <= 1e-15
+    # The series root m = 2 eps + (4/3) eps^2 + O(eps^3), eps = 1 - p_a.
+    eps = 1.0 - float(p_a)
+    reference = sensing_range(tx, 2.0 * eps + 4.0 / 3.0 * eps * eps, roads)
+    assert abs(delta - reference) <= 1e-12 * reference
     scenario = dataclasses.replace(plan.scenario, mac=Csma(delta=delta))
     link = dataclasses.replace(plan.link, rx=Position(100.0, 0.0))
     assert float(rows[0]["outage_analytic"]) == (
         1.0 - reception_probability(scenario, link))
-
-
-def test_access_probability_too_close_to_one(tmp_path, capsys):
-    # The contention mass, about 2e-14, falls below the bracket's 1e-12:
-    # a config error, not a crash.
-    cfg = tmp_path / "near_one.ini"
-    cfg.write_text(near_one_config("0.99999999999999"))
-    assert main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 2
-    assert ("access_probability 0.99999999999999 is too close to 1"
-            in capsys.readouterr().err)
-    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_access_probability_axis(tmp_path):

@@ -197,11 +197,15 @@ def test_erlang_fit_deterministic_default_stream():
 
 # The analytic engine's surrogates, pinned bit for bit.
 @pytest.mark.parametrize("sigma_db, k, theta", [
+    (10.0, 1, 14.01939986743659),
+    (6.0, 1, 2.593079266634994),
     (4.5, 1, 1.709814198382603),
     (3.2, 2, 0.6559304507074172),
+    (3.0, 2, 0.6347409642754044),
     (2.5, 3, 0.3934316173384098),
     (2.2, 4, 0.2842527338943124),
     (2.0, 5, 0.22239553919098937),
+    (1.5, 9, 0.11795167527441976),
     (1.0, 19, 0.054049519428197836),
     (0.7, 39, 0.025977693369177563),
 ])
